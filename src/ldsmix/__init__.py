@@ -7,8 +7,7 @@ orthogonal tensor decomposition. Recovered Markov parameter vectors can then
 be realized as state-space models.
 """
 
-from .errors import (DecompositionError, DegenerateMixtureError,
-                     InsufficientLengthError, ZeroUpdateError)
+from .errors import DecompositionError, DegenerateMixtureError, InsufficientLengthError
 from .evaluate import (MatchResult, SweepConfig, SweepRecord, aggregate,
                        baseline_error, load_records_csv, match_components,
                        run_sweep, write_levels, write_records_csv, write_series)
@@ -16,23 +15,20 @@ from .lds import (MarkovVector, MixtureModel, NoiseConfig, StateSpace,
                   TrajectoryDataset, generate_dataset, impulse_response,
                   load_dataset, load_mixture, mixture_m2, mixture_sigma_k,
                   random_mixture, random_stable_system, rollout, sample_mixture,
-                  save_dataset, save_mixture, simulate, system_energy)
+                  save_dataset, save_mixture, simulate)
 from .mlr import (MixtureEstimate, RegressionDataset, WhiteningMatrix,
                   estimate_m2, estimate_whitened_m3, fit_from_moments, mlr_fit,
                   refine_first_moment, whitening_from_m2)
 from .pipeline import (build_stacked, estimate_text, ho_kalman, load_estimate,
-                       mlds_fit, mlds_fit_refined, ols_markov, save_estimate,
-                       stack_inputs, stack_times)
-from .tensor3 import (SymTensor3, TensorFactor, apply_matrix3, contract,
-                      op_norm_estimate, outer3, power_update, robust_tpm,
-                      symmetrize)
+                       mlds_fit, ols_markov, save_estimate, stack_inputs,
+                       stack_times)
+from .tensor3 import apply_matrix3, robust_tpm, symmetrize
 from .util import derive_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DecompositionError", "DegenerateMixtureError", "InsufficientLengthError",
-    "ZeroUpdateError",
     "MatchResult", "SweepConfig", "SweepRecord", "aggregate", "baseline_error",
     "load_records_csv", "match_components", "run_sweep", "write_levels",
     "write_records_csv", "write_series",
@@ -40,15 +36,13 @@ __all__ = [
     "TrajectoryDataset", "generate_dataset", "impulse_response", "load_dataset",
     "load_mixture", "mixture_m2", "mixture_sigma_k", "random_mixture",
     "random_stable_system", "rollout", "sample_mixture", "save_dataset",
-    "save_mixture", "simulate", "system_energy",
+    "save_mixture", "simulate",
     "MixtureEstimate", "RegressionDataset", "WhiteningMatrix", "estimate_m2",
     "estimate_whitened_m3", "fit_from_moments", "mlr_fit",
     "refine_first_moment", "whitening_from_m2",
     "build_stacked", "estimate_text", "ho_kalman", "load_estimate", "mlds_fit",
-    "mlds_fit_refined", "ols_markov", "save_estimate", "stack_inputs",
-    "stack_times",
-    "SymTensor3", "TensorFactor", "apply_matrix3", "contract",
-    "op_norm_estimate", "outer3", "power_update", "robust_tpm", "symmetrize",
+    "ols_markov", "save_estimate", "stack_inputs", "stack_times",
+    "apply_matrix3", "robust_tpm", "symmetrize",
     "derive_seed",
     "__version__",
 ]

@@ -10,7 +10,7 @@ from .errors import DecompositionError, DegenerateMixtureError
 from .evaluate import SweepConfig, match_components, run_sweep, write_levels, write_records_csv, write_series
 from .lds import (MarkovVector, NoiseConfig, generate_dataset, load_dataset, load_mixture,
                   mixture_sigma_k, random_mixture, save_dataset, save_mixture)
-from .pipeline import estimate_text, ho_kalman, load_estimate, mlds_fit, mlds_fit_refined
+from .pipeline import estimate_text, ho_kalman, load_estimate, mlds_fit
 from .util import atomic_write_text, fmt
 
 EXIT_OK = 0
@@ -195,9 +195,8 @@ def cmd_fit(args) -> int:
         _check(args.L >= 2 * args.ho_kalman + 1,
                f"--ho-kalman order {args.ho_kalman} needs L >= {2 * args.ho_kalman + 1}")
     data = load_dataset(args.data)
-    fitter = mlds_fit_refined if args.refine else mlds_fit
-    est = fitter(data, args.L, args.K, sigma_u=args.sigma_u,
-                 n_restarts=args.restarts, n_iters=args.iters, seed=args.seed)
+    est = mlds_fit(data, args.L, args.K, sigma_u=args.sigma_u, n_restarts=args.restarts,
+                   n_iters=args.iters, seed=args.seed, refine=args.refine)
     text = estimate_text(est, args.L, data.m)
     if args.ho_kalman is not None:
         extra = []

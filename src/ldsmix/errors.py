@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class ZeroUpdateError(RuntimeError):
-    """A tensor power update produced the zero vector (degenerate start)."""
-
-
 class DecompositionError(RuntimeError):
     """Tensor decomposition failed; carries the extraction round that failed."""
 

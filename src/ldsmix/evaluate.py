@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DecompositionError, DegenerateMixtureError, InsufficientLengthError
 from .lds import MixtureModel, NoiseConfig, TrajectoryDataset, generate_dataset, random_mixture
 from .mlr import MixtureEstimate
-from .pipeline import mlds_fit, mlds_fit_refined, ols_markov
+from .pipeline import mlds_fit, ols_markov
 from .util import atomic_write_text, derive_seed
 
 METHODS = ("tensor", "tensor_refine", "baseline")
@@ -137,9 +137,9 @@ def run_sweep(cfg: SweepConfig, timer=time.perf_counter):
                         if meth == "baseline":
                             err, werr = baseline_error(data, model, cfg.L), math.nan
                         else:
-                            fit = mlds_fit_refined if meth == "tensor_refine" else mlds_fit
-                            est = fit(data, cfg.L, cfg.K, sigma_u=cfg.noise.sigma_u,
-                                      n_restarts=cfg.n_restarts, n_iters=cfg.n_iters, seed=fit_seed)
+                            est = mlds_fit(data, cfg.L, cfg.K, sigma_u=cfg.noise.sigma_u,
+                                           n_restarts=cfg.n_restarts, n_iters=cfg.n_iters, seed=fit_seed,
+                                           refine=(meth == "tensor_refine"))
                             mr = match_components(est, model, cfg.L)
                             err, werr = mr.mean_error, mr.mean_weight_error
                         status = "ok"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMixtureError
-from .util import atomic_write_text, fmt, parse_header
+from .util import atomic_write_text, fmt, parse_floats, parse_header, parse_weight
 
 
 def _spectral_radius(A) -> float:
@@ -139,6 +139,8 @@ class TrajectoryDataset:
             raise ValueError(f"inputs must be (N, T, m), got shape {self.inputs.shape}")
         if self.outputs.shape != self.inputs.shape[:2]:
             raise ValueError("outputs must be (N, T) matching inputs")
+        if not (np.isfinite(self.inputs).all() and np.isfinite(self.outputs).all()):
+            raise ValueError("inputs and outputs must be finite")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int).reshape(-1)
             if self.labels.shape[0] != self.inputs.shape[0]:
@@ -190,38 +192,6 @@ def impulse_response(ss: StateSpace, L: int) -> MarkovVector:
     for t in range(1, L + 1):
         vals[(t - 1) * m : t * m] = ss.C @ np.linalg.matrix_power(ss.A, t - 1) @ ss.B
     return MarkovVector(L, m, vals)
-
-
-def system_energy(ss: StateSpace, tail_tol: float = 1e-12) -> float:
-    """1 + sum_{t>=1} ||g(t)||^2, truncated once a geometric tail estimate drops below tail_tol.
-
-    The per-step decay is estimated from maxima over windows of order+1 terms
-    (floored at radius^2), so transient zeros, e.g. oscillators with g(t) = 0
-    at every other t, cannot end the sum early.
-    """
-    q_floor = ss.radius ** 2
-    w = ss.order + 1
-    hist = []
-    P = ss.B.copy()
-    total = 0.0
-    for t in range(1, 1_000_001):
-        g = ss.C @ P
-        a = float(g @ g)
-        total += a
-        hist.append(a)
-        if len(hist) > 2 * w:
-            del hist[0]
-        if t >= 2 * w:
-            cur = max(hist[-w:])
-            prev = max(hist[-2 * w : -w])
-            if cur > 0.0 and prev > 0.0:
-                q = max(q_floor, (cur / prev) ** (1.0 / w))
-            else:
-                q = q_floor
-            if q < 1.0 and cur * (w + q / (1.0 - q)) <= tail_tol:
-                return 1.0 + total
-        P = ss.A @ P
-    raise RuntimeError("energy tail estimate did not converge within 1e6 terms")
 
 
 def simulate(ss: StateSpace, inputs, process_noise=None, measurement_noise=None) -> np.ndarray:
@@ -342,18 +312,8 @@ def save_dataset(path, ds: TrajectoryDataset) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_floats(line: str, count: int, lineno: int) -> np.ndarray:
-    toks = line.split()
-    if len(toks) != count:
-        raise ValueError(f"line {lineno}: expected {count} numbers, got {len(toks)}")
-    try:
-        return np.array([float(t) for t in toks])
-    except ValueError:
-        raise ValueError(f"line {lineno}: malformed float in {line!r}") from None
-
-
 def load_dataset(path) -> TrajectoryDataset:
-    """Read the mlds-dataset v1 text format; parse errors report line numbers."""
+    """Read the mlds-dataset v1 text format; parse errors and non-finite values report line numbers."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -382,10 +342,15 @@ def load_dataset(path) -> TrajectoryDataset:
             raise ValueError(f"line {pos + 1}: unlabeled dataset must use '-' labels")
         pos += 1
         for t in range(T):
-            row = _parse_floats(lines[pos], m + 1, pos + 1)
+            row = parse_floats(lines[pos], m + 1, pos + 1)
             U[i, t] = row[:m]
             Y[i, t] = row[m]
             pos += 1
+    bad = ~(np.isfinite(U).all(axis=2) & np.isfinite(Y))
+    if bad.any():
+        i, t = divmod(int(np.argmax(bad)), T)
+        lineno = 3 + i * (T + 1) + t
+        raise ValueError(f"line {lineno}: non-finite value in {lines[lineno - 1]!r}")
     return TrajectoryDataset(U, Y, labels)
 
 
@@ -421,19 +386,13 @@ def load_mixture(path) -> MixtureModel:
     systems = []
     pos = 1
     for k in range(K):
-        toks = lines[pos].split()
-        if len(toks) != 2 or toks[0] != "weight":
-            raise ValueError(f"line {pos + 1}: expected 'weight <p>', got {lines[pos]!r}")
-        try:
-            weights[k] = float(toks[1])
-        except ValueError:
-            raise ValueError(f"line {pos + 1}: malformed weight {toks[1]!r}") from None
+        weights[k] = parse_weight(lines[pos], pos + 1)
         pos += 1
-        A = np.stack([_parse_floats(lines[pos + r], n, pos + r + 1) for r in range(n)])
+        A = np.stack([parse_floats(lines[pos + r], n, pos + r + 1) for r in range(n)])
         pos += n
-        B = np.stack([_parse_floats(lines[pos + r], m, pos + r + 1) for r in range(n)])
+        B = np.stack([parse_floats(lines[pos + r], m, pos + r + 1) for r in range(n)])
         pos += n
-        C = _parse_floats(lines[pos], n, pos + 1)
+        C = parse_floats(lines[pos], n, pos + 1)
         pos += 1
         systems.append(StateSpace(A, B, C))
     return MixtureModel(weights, systems)

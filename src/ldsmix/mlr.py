@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateMixtureError
-from .tensor3 import SymTensor3, apply_matrix3, robust_tpm, symmetrize
+from .tensor3 import apply_matrix3, robust_tpm, symmetrize
 
 _WEIGHT_CLAMP = 1e-6
 
@@ -73,6 +73,8 @@ class MixtureEstimate:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.ndim != 2 or self.coeffs.shape[0] != self.weights.shape[0]:
             raise ValueError("coeffs must be (K, d) matching the weights")
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.coeffs).all()):
+            raise ValueError("estimated weights and coefficients must be finite")
         if np.any(self.weights <= 0.0):
             raise ValueError("estimated weights must be strictly positive")
 
@@ -119,8 +121,8 @@ def whitening_from_m2(M2, K: int, threshold: float = 1e-10) -> WhiteningMatrix:
     return WhiteningMatrix(W=U / root, pinv_wt=U * root, singular_values=sig)
 
 
-def estimate_whitened_m3(data: RegressionDataset, wh: WhiteningMatrix) -> SymTensor3:
-    """Whitened third-moment estimate, built directly in the K-dim whitened basis.
+def estimate_whitened_m3(data: RegressionDataset, wh: WhiteningMatrix) -> np.ndarray:
+    """Whitened third-moment estimate, a symmetric (K, K, K) array built directly in the whitened basis.
 
     Each sample contributes y^3 [(W'x)^(x3) - sym3(W'x, W'W)] / (6 n3), where
     sym3(z, G)_{abc} = z_a G_bc + z_b G_ac + z_c G_ab is the Gaussian
@@ -141,19 +143,19 @@ def estimate_whitened_m3(data: RegressionDataset, wh: WhiteningMatrix) -> SymTen
         + np.einsum("b,ac->abc", s, G)
         + np.einsum("c,ab->abc", s, G)
     )
-    return SymTensor3(symmetrize(cube - corr))
+    return symmetrize(cube - corr)
 
 
-def _dewhiten(factors, wh: WhiteningMatrix) -> MixtureEstimate:
+def _dewhiten(lams, vecs, wh: WhiteningMatrix) -> MixtureEstimate:
     # each eigenvalue estimates 1/sqrt(p); flip negative signs into the vector,
     # clamp tiny values (heavy noise) and flag the result as low confidence
-    K = len(factors)
+    K = lams.shape[0]
     d = wh.W.shape[0]
     weights = np.empty(K)
     coeffs = np.empty((K, d))
     notes = []
-    for k, f in enumerate(factors):
-        lam, v = float(f.weight), f.vector
+    for k, v in enumerate(vecs):
+        lam = float(lams[k])
         if lam < 0.0:
             lam, v = -lam, -v
         if lam < _WEIGHT_CLAMP:
@@ -170,17 +172,20 @@ def mlr_fit(data: RegressionDataset, K: int, n_restarts=None, n_iters: int = 100
     M2 = estimate_m2(data)
     wh = whitening_from_m2(M2, K, threshold)
     M3w = estimate_whitened_m3(data, wh)
-    factors = robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
-    return _dewhiten(factors, wh)
+    lams, vecs = robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
+    return _dewhiten(lams, vecs, wh)
 
 
-def fit_from_moments(M2, M3: SymTensor3, K: int, n_restarts=None, n_iters: int = 100,
+def fit_from_moments(M2, M3, K: int, n_restarts=None, n_iters: int = 100,
                      seed: int = 0, threshold: float = 1e-10) -> MixtureEstimate:
-    """The same whiten/decompose/dewhiten pipeline driven by externally supplied moments."""
+    """The same whiten/decompose/dewhiten pipeline driven by externally supplied moments.
+
+    M3 is a symmetric (d, d, d) array; other shapes and asymmetric entries are rejected.
+    """
     wh = whitening_from_m2(M2, K, threshold)
     M3w = apply_matrix3(M3, wh.W)
-    factors = robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
-    return _dewhiten(factors, wh)
+    lams, vecs = robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
+    return _dewhiten(lams, vecs, wh)
 
 
 def refine_first_moment(est: MixtureEstimate, data: RegressionDataset) -> MixtureEstimate:

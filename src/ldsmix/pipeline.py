@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import InsufficientLengthError
 from .lds import MarkovVector, StateSpace, TrajectoryDataset
 from .mlr import MixtureEstimate, RegressionDataset, mlr_fit, refine_first_moment
-from .util import atomic_write_text, fmt, parse_header
+from .util import atomic_write_text, fmt, parse_floats, parse_header, parse_weight
 
 
 def stack_times(T: int, L: int) -> np.ndarray:
@@ -22,13 +22,12 @@ def stack_times(T: int, L: int) -> np.ndarray:
     return np.arange(L, T + 1, L)
 
 
-def _window_rows(inputs, L, times):
-    # row for time t is (u_{t-1}, u_{t-2}, ..., u_{t-L}) flattened
-    m = inputs.shape[1]
-    rows = np.empty((times.shape[0], L * m))
-    for j in range(L):
-        rows[:, j * m : (j + 1) * m] = inputs[times - 1 - j]
-    return rows
+def _lag_rows(inputs, L, times):
+    # one row (u_{t-1}, u_{t-2}, ..., u_{t-L}) flattened per time t, for every
+    # trajectory along the leading axes of inputs (trajectory-major order);
+    # take() returns a C-ordered array, so the reshape is a view, not a copy
+    lags = times[:, None] - 1 - np.arange(L)
+    return np.take(inputs, lags, axis=-2).reshape(-1, L * inputs.shape[-1])
 
 
 def stack_inputs(inputs, L: int):
@@ -41,39 +40,26 @@ def stack_inputs(inputs, L: int):
     if inputs.ndim == 1:
         inputs = inputs[:, None]
     times = stack_times(inputs.shape[0], L)
-    return times, _window_rows(inputs, L, times)
+    return times, _lag_rows(inputs, L, times)
 
 
-@dataclass
-class StackedRegression:
-    """Pooled regression samples plus their (trajectory, time) provenance."""
-
-    data: RegressionDataset
-    traj_index: np.ndarray
-    times: np.ndarray
-
-
-def build_stacked(dataset: TrajectoryDataset, L: int, sigma_u: float = 1.0, partition=None) -> StackedRegression:
+def build_stacked(dataset: TrajectoryDataset, L: int, sigma_u: float = 1.0, partition=None) -> RegressionDataset:
     """Stack every trajectory at the subsampled times; covariates are scaled by 1/sigma_u.
 
-    partition is an optional pair of trajectory index arrays (M2 half, M3
-    half); the default pits the first ceil(N/2) trajectories against the rest.
+    Row i*S + s comes from trajectory i at time times[s], where times =
+    stack_times(T, L) has S entries. partition is an optional pair of
+    trajectory index arrays (M2 half, M3 half); the default pits the first
+    ceil(N/2) trajectories against the rest.
     """
     if sigma_u <= 0.0:
         raise ValueError("sigma_u must be positive")
-    N, T, m = dataset.inputs.shape
+    N, T = dataset.outputs.shape
     times = stack_times(T, L)
-    S = times.shape[0]
-    X = np.empty((N * S, L * m))
-    yv = np.empty(N * S)
-    for i in range(N):
-        X[i * S : (i + 1) * S] = _window_rows(dataset.inputs[i], L, times)
-        yv[i * S : (i + 1) * S] = dataset.outputs[i, times - 1]
+    X = _lag_rows(dataset.inputs, L, times)
     X /= sigma_u
-    traj_index = np.repeat(np.arange(N), S)
+    y = dataset.outputs[:, times - 1].reshape(-1)
     if partition is None:
-        cut = (N + 1) // 2
-        p2, p3 = np.arange(cut), np.arange(cut, N)
+        in_m2 = np.arange(N) < (N + 1) // 2
     else:
         p2 = np.asarray(partition[0], dtype=np.intp).reshape(-1)
         p3 = np.asarray(partition[1], dtype=np.intp).reshape(-1)
@@ -81,34 +67,29 @@ def build_stacked(dataset: TrajectoryDataset, L: int, sigma_u: float = 1.0, part
         if (both.size != N or np.unique(both).size != N
                 or (both.size and (both.min() < 0 or both.max() >= N))):
             raise ValueError("partition must split range(N) into two disjoint halves")
-    idx2 = np.nonzero(np.isin(traj_index, p2))[0]
-    idx3 = np.nonzero(np.isin(traj_index, p3))[0]
-    data = RegressionDataset(X, yv, idx2, idx3)
-    return StackedRegression(data, traj_index, np.tile(times, N))
-
-
-def _fit(dataset, L, K, sigma_u, partition, n_restarts, n_iters, seed, threshold, refine):
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    sr = build_stacked(dataset, L, sigma_u, partition)
-    if K > sr.data.dim:
-        raise ValueError(f"K={K} exceeds the covariate dimension L*m={sr.data.dim}")
-    est = mlr_fit(sr.data, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed, threshold=threshold)
-    if refine:
-        est = refine_first_moment(est, sr.data)
-    return replace(est, coeffs=est.coeffs / sigma_u)
+        in_m2 = np.zeros(N, dtype=bool)
+        in_m2[p2] = True
+    rows_m2 = np.repeat(in_m2, times.shape[0])
+    return RegressionDataset(X, y, np.flatnonzero(rows_m2), np.flatnonzero(~rows_m2))
 
 
 def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0, partition=None,
-             n_restarts=None, n_iters: int = 100, seed: int = 0, threshold: float = 1e-10) -> MixtureEstimate:
-    """Estimate K horizon-L Markov vectors and mixture weights from unlabeled trajectories."""
-    return _fit(dataset, L, K, sigma_u, partition, n_restarts, n_iters, seed, threshold, refine=False)
+             n_restarts=None, n_iters: int = 100, seed: int = 0, threshold: float = 1e-10,
+             refine: bool = False) -> MixtureEstimate:
+    """Estimate K horizon-L Markov vectors and mixture weights from unlabeled trajectories.
 
-
-def mlds_fit_refined(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0, partition=None,
-                     n_restarts=None, n_iters: int = 100, seed: int = 0, threshold: float = 1e-10) -> MixtureEstimate:
-    """mlds_fit followed by the first-moment weight refinement (coefficients unchanged)."""
-    return _fit(dataset, L, K, sigma_u, partition, n_restarts, n_iters, seed, threshold, refine=True)
+    With refine=True the weights are then re-solved against the empirical
+    first moment (refine_first_moment); the coefficients are unchanged.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    data = build_stacked(dataset, L, sigma_u, partition)
+    if K > data.dim:
+        raise ValueError(f"K={K} exceeds the covariate dimension L*m={data.dim}")
+    est = mlr_fit(data, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed, threshold=threshold)
+    if refine:
+        est = refine_first_moment(est, data)
+    return replace(est, coeffs=est.coeffs / sigma_u)
 
 
 def ols_markov(inputs, outputs, L: int) -> MarkovVector:
@@ -127,7 +108,7 @@ def ols_markov(inputs, outputs, L: int) -> MarkovVector:
     if T < L:
         raise InsufficientLengthError(f"trajectory length T={T} is shorter than the horizon L={L}")
     times = np.arange(L, T + 1)
-    A = _window_rows(inputs, L, times)
+    A = _lag_rows(inputs, L, times)
     b = outputs[times - 1]
     if times.shape[0] < L * m:
         _warnings.warn("ols_markov: fewer rows than unknowns; returning the minimum-norm solution",
@@ -218,21 +199,9 @@ def load_estimate(path):
     coeffs = np.empty((K, L * m))
     pos = 1
     for k in range(K):
-        toks = lines[pos].split()
-        if len(toks) != 2 or toks[0] != "weight":
-            raise ValueError(f"line {pos + 1}: expected 'weight <p>', got {lines[pos]!r}")
-        try:
-            weights[k] = float(toks[1])
-        except ValueError:
-            raise ValueError(f"line {pos + 1}: malformed weight {toks[1]!r}") from None
+        weights[k] = parse_weight(lines[pos], pos + 1)
         pos += 1
         for t in range(L):
-            toks = lines[pos].split()
-            if len(toks) != m:
-                raise ValueError(f"line {pos + 1}: expected {m} numbers, got {len(toks)}")
-            try:
-                coeffs[k, t * m : (t + 1) * m] = [float(v) for v in toks]
-            except ValueError:
-                raise ValueError(f"line {pos + 1}: malformed float in {lines[pos]!r}") from None
+            coeffs[k, t * m : (t + 1) * m] = parse_floats(lines[pos], m, pos + 1)
             pos += 1
     return MixtureEstimate(weights, coeffs), L, m

@@ -1,12 +1,10 @@
-"""Dense symmetric order-3 tensors and a restart-robust tensor power method."""
+"""Symmetric (d, d, d) arrays and a restart-robust tensor power method."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DecompositionError, ZeroUpdateError
+from .errors import DecompositionError
 
 _PERMS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _SYM_RTOL = 1e-12
@@ -21,71 +19,29 @@ def symmetrize(values) -> np.ndarray:
     return out / 6.0
 
 
-class SymTensor3:
-    """Order-3 tensor over R^d whose entries are invariant under index permutations."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[0] < 1 or len(set(values.shape)) != 1:
-            raise ValueError(f"expected a (d, d, d) array with d >= 1, got shape {values.shape}")
-        scale = float(np.abs(values).max())
-        if scale > 0.0:
-            defect = max(float(np.abs(values - values.transpose(p)).max()) for p in _PERMS)
-            if defect > _SYM_RTOL * scale:
-                raise ValueError(
-                    f"asymmetric entries: relative defect {defect / scale:.3e} exceeds {_SYM_RTOL:.0e}"
-                )
-        self.values = values
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def copy(self) -> "SymTensor3":
-        return SymTensor3(self.values.copy())
-
-    def __repr__(self) -> str:
-        return f"SymTensor3(dim={self.dim})"
+def _check_symmetric(values) -> np.ndarray:
+    # tensors from outside the package must be (d, d, d) and invariant under index permutations
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[0] < 1 or len(set(values.shape)) != 1:
+        raise ValueError(f"expected a (d, d, d) array with d >= 1, got shape {values.shape}")
+    scale = float(np.abs(values).max())
+    if scale > 0.0:
+        defect = max(float(np.abs(values - values.transpose(p)).max()) for p in _PERMS)
+        if defect > _SYM_RTOL * scale:
+            raise ValueError(
+                f"asymmetric entries: relative defect {defect / scale:.3e} exceeds {_SYM_RTOL:.0e}"
+            )
+    return values
 
 
-@dataclass
-class TensorFactor:
-    """One extracted rank-1 term weight * vector^(x3), weight kept with its sign."""
-
-    weight: float
-    vector: np.ndarray
-
-
-def outer3(v) -> SymTensor3:
-    """Symmetric rank-1 tensor v (x) v (x) v."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    return SymTensor3(np.einsum("i,j,k->ijk", v, v, v))
-
-
-def contract(M: SymTensor3, a, b, c) -> float:
-    """Trilinear form M(a, b, c) = sum_ijk M_ijk a_i b_j c_k."""
-    return float(np.einsum("ijk,i,j,k->", M.values, a, b, c))
-
-
-def apply_matrix3(M: SymTensor3, V) -> SymTensor3:
-    """Multilinear change of basis: entry (a, b, c) = sum_ijk M_ijk V_ia V_jb V_kc."""
+def apply_matrix3(M, V) -> np.ndarray:
+    """Multilinear change of basis of a symmetric M: entry (a, b, c) = sum_ijk M_ijk V_ia V_jb V_kc."""
+    M = _check_symmetric(M)
     V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[0] != M.dim:
-        raise ValueError(f"V must be (d, K) with d = {M.dim}, got {V.shape}")
-    out = np.einsum("ijk,ia,jb,kc->abc", M.values, V, V, V, optimize=True)
-    return SymTensor3(symmetrize(out))
-
-
-def power_update(M: SymTensor3, u) -> np.ndarray:
-    """One normalized step u -> M(I, u, u) / ||M(I, u, u)||."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    w = np.einsum("ijk,j,k->i", M.values, u, u)
-    nrm = float(np.linalg.norm(w))
-    if nrm == 0.0:
-        raise ZeroUpdateError("power update produced the zero vector")
-    return w / nrm
+    if V.ndim != 2 or V.shape[0] != M.shape[0]:
+        raise ValueError(f"V must be (d, K) with d = {M.shape[0]}, got {V.shape}")
+    out = np.einsum("ijk,ia,jb,kc->abc", M, V, V, V, optimize=True)
+    return symmetrize(out)
 
 
 def _cubic(mat2, u):
@@ -93,17 +49,16 @@ def _cubic(mat2, u):
     return float(mat2 @ np.multiply.outer(u, u).ravel() @ u)
 
 
-def _power_iterations(mat2, u, n_iters, stop_on_zero):
-    # each step is a single gemv against the reshaped tensor
+def _power_iterations(mat2, u, n_iters):
+    # each step is a single gemv against the reshaped tensor; returns
+    # (iterate, collapsed), stopping at the last nonzero iterate when an update is zero
     for _ in range(n_iters):
         w = mat2 @ np.multiply.outer(u, u).ravel()
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
-            if stop_on_zero:
-                return u
-            raise ZeroUpdateError("power update produced the zero vector")
+            return u, True
         u = w / nrm
-    return u
+    return u, False
 
 
 def _unit_sphere(rng, d):
@@ -114,31 +69,21 @@ def _unit_sphere(rng, d):
             return v / nrm
 
 
-def op_norm_estimate(M: SymTensor3, n_restarts: int = 50, n_iters: int = 100, seed: int = 0) -> float:
-    """Lower estimate of sup |M(u, u, u)| over the unit sphere via restarted power iterations."""
-    if n_restarts < 1 or n_iters < 1:
-        raise ValueError("n_restarts and n_iters must be >= 1")
-    mat2 = M.values.reshape(M.dim, -1)
-    best = 0.0
-    for restart in range(n_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, restart + 1)))
-        u = _unit_sphere(rng, M.dim)
-        u = _power_iterations(mat2, u, n_iters, stop_on_zero=True)
-        best = max(best, abs(_cubic(mat2, u)))
-    return best
-
-
-def robust_tpm(M: SymTensor3, K: int, n_restarts=None, n_iters: int = 100, seed: int = 0):
-    """Greedy rank-K decomposition by restarted power iteration with deflation.
+def robust_tpm(T, K: int, n_restarts=None, n_iters: int = 100, seed: int = 0):
+    """Greedy rank-K decomposition of a symmetric (d, d, d) array by restarted power iteration with deflation.
 
     Each round runs n_iters power updates from n_restarts random unit starts
     (stream derived from (seed, round, restart), so restarts are order free),
-    keeps the start with the largest M(u, u, u) (ties go to the lowest restart
-    index), polishes it with n_iters further updates, records the factor
-    (M(u, u, u), u) with its sign, and deflates. Restarts that collapse to a
-    zero update are skipped; if every restart in a round collapses, a
-    DecompositionError carrying the round index is raised.
+    keeps the start with the largest T(u, u, u) (ties go to the lowest restart
+    index), polishes it with n_iters further updates, records T(u, u, u) with
+    its sign and u, and deflates. Restarts that collapse to a zero update are
+    skipped; if every restart in a round collapses, a DecompositionError
+    carrying the round index is raised.
+
+    Returns (lams, vecs): lams has shape (K,) and row k of vecs (K, d) is the
+    unit vector extracted in round k.
     """
+    T = _check_symmetric(T)
     if K < 1:
         raise ValueError("K must be >= 1")
     if n_iters < 1:
@@ -147,27 +92,25 @@ def robust_tpm(M: SymTensor3, K: int, n_restarts=None, n_iters: int = 100, seed:
         n_restarts = 20 * K
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    T = M.values.copy()
-    d = M.dim
-    factors = []
+    d = T.shape[0]
+    lams = np.empty(K)
+    vecs = np.empty((K, d))
     for rnd in range(K):
         mat2 = T.reshape(d, -1)
         best_u = None
         best_val = -np.inf
         for restart in range(n_restarts):
             rng = np.random.default_rng(np.random.SeedSequence((seed, rnd + 1, restart + 1)))
-            u0 = _unit_sphere(rng, d)
-            try:
-                u = _power_iterations(mat2, u0, n_iters, stop_on_zero=False)
-            except ZeroUpdateError:
+            u, collapsed = _power_iterations(mat2, _unit_sphere(rng, d), n_iters)
+            if collapsed:
                 continue
             val = _cubic(mat2, u)
             if best_u is None or val > best_val:
                 best_u, best_val = u, val
         if best_u is None:
             raise DecompositionError(rnd, f"every restart collapsed to a zero update in round {rnd}")
-        u = _power_iterations(mat2, best_u, n_iters, stop_on_zero=True)
+        u, _ = _power_iterations(mat2, best_u, n_iters)
         lam = _cubic(mat2, u)
-        factors.append(TensorFactor(weight=lam, vector=u))
+        lams[rnd], vecs[rnd] = lam, u
         T = T - lam * np.einsum("i,j,k->ijk", u, u, u)
-    return factors
+    return lams, vecs

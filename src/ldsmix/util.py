@@ -1,4 +1,4 @@
-"""Small shared helpers: float formatting, atomic writes, seed derivation, headers."""
+"""Small shared helpers: float formatting, atomic writes, seed derivation, text parsing."""
 
 from __future__ import annotations
 
@@ -57,3 +57,25 @@ def parse_header(line: str, tag: str, keys: tuple[str, ...]) -> dict[str, int]:
     if set(fields) != set(keys):
         raise ValueError(f"line 1: header must carry exactly the fields {', '.join(keys)}")
     return fields
+
+
+def parse_weight(line: str, lineno: int) -> float:
+    """Parse a 'weight <p>' line; errors name the 1-based line number."""
+    toks = line.split()
+    if len(toks) != 2 or toks[0] != "weight":
+        raise ValueError(f"line {lineno}: expected 'weight <p>', got {line!r}")
+    try:
+        return float(toks[1])
+    except ValueError:
+        raise ValueError(f"line {lineno}: malformed weight {toks[1]!r}") from None
+
+
+def parse_floats(line: str, count: int, lineno: int) -> np.ndarray:
+    """Parse a row of exactly count whitespace-separated floats; errors name the 1-based line number."""
+    toks = line.split()
+    if len(toks) != count:
+        raise ValueError(f"line {lineno}: expected {count} numbers, got {len(toks)}")
+    try:
+        return np.array([float(t) for t in toks])
+    except ValueError:
+        raise ValueError(f"line {lineno}: malformed float in {line!r}") from None

@@ -15,9 +15,10 @@ from ldsmix.evaluate import SweepConfig, aggregate, match_components, run_sweep
 from ldsmix.lds import (NoiseConfig, generate_dataset, impulse_response,
                         random_mixture, random_stable_system)
 from ldsmix.mlr import RegressionDataset, estimate_m2, fit_from_moments
-from ldsmix.pipeline import ho_kalman, mlds_fit, mlds_fit_refined, stack_inputs
-from ldsmix.tensor3 import SymTensor3, outer3, robust_tpm, symmetrize
+from ldsmix.pipeline import ho_kalman, mlds_fit, stack_inputs
+from ldsmix.tensor3 import robust_tpm, symmetrize
 from ldsmix.util import derive_seed
+from oracles import outer3
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -40,8 +41,8 @@ def test_criterion_1_exact_moment_recovery():
         betas = rng.normal(size=(K, d))
         weights = spread_weights(rng.dirichlet(np.ones(K)))
         M2 = (betas.T * weights) @ betas
-        M3 = SymTensor3(symmetrize(
-            sum(w * outer3(b).values for w, b in zip(weights, betas))))
+        M3 = symmetrize(
+            sum(w * outer3(b) for w, b in zip(weights, betas)))
         est = fit_from_moments(M2, M3, K, seed=i)
         worst = 0.0
         used = set()
@@ -68,16 +69,16 @@ def test_criterion_2_tpm_oracle_equivalence():
         d = K + int(rng.integers(0, 3))
         Q, _ = np.linalg.qr(rng.normal(size=(d, K)))
         lams = rng.uniform(0.5, 2.0, size=K)
-        T = SymTensor3(symmetrize(
-            sum(l * outer3(Q[:, k]).values for k, l in enumerate(lams))))
-        factors = robust_tpm(T, K, seed=i)
+        T = symmetrize(
+            sum(l * outer3(Q[:, k]) for k, l in enumerate(lams)))
+        est_lams, est_vecs = robust_tpm(T, K, seed=i)
         worst = 0.0
         used = set()
         for k in range(K):
             # compare component reconstructions: sign ambiguity cancels there
-            target = lams[k] * outer3(Q[:, k]).values
-            dists = [np.linalg.norm(f.weight * outer3(f.vector).values - target)
-                     for f in factors]
+            target = lams[k] * outer3(Q[:, k])
+            dists = [np.linalg.norm(lam * outer3(v) - target)
+                     for lam, v in zip(est_lams, est_vecs)]
             j = int(np.argmin(dists))
             worst = max(worst, dists[j])
             used.add(j)
@@ -221,7 +222,7 @@ def test_criterion_8_refinement_contract():
         data = generate_dataset(model, 1000, 96, noise, derive_seed(seed, 1000, 96, 1))
         fit_seed = derive_seed(seed, 1000, 96, 2)
         plain = mlds_fit(data, 7, 3, sigma_u=noise.sigma_u, seed=fit_seed)
-        refined = mlds_fit_refined(data, 7, 3, sigma_u=noise.sigma_u, seed=fit_seed)
+        refined = mlds_fit(data, 7, 3, sigma_u=noise.sigma_u, seed=fit_seed, refine=True)
         worst_sum = max(worst_sum, abs(refined.weights.sum() - 1.0))
         e_plain = match_components(plain, model, 7).mean_error
         e_refined = match_components(refined, model, 7).mean_error

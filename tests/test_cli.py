@@ -158,6 +158,23 @@ def eval_workspace(tmp_path, L=4):
     return model, mix_path
 
 
+@pytest.mark.parametrize("traj", [10, 70])
+def test_fit_non_finite_sample_exit_code(tmp_path, capsys, traj):
+    # one nan in a stacked output (y_7) of a trajectory in the M2 half (10)
+    # or the M3 half (70) of N=80 fails validation and writes no estimate
+    data_path, _ = fit_workspace(tmp_path)
+    T = 28
+    lineno = 3 + traj * (T + 1) + 6
+    lines = open(data_path).read().splitlines()
+    lines[lineno - 1] = lines[lineno - 1].split()[0] + " nan"
+    with open(data_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out = tmp_path / "est.txt"
+    assert run("fit", "--data", data_path, "--out", str(out), "--L", "7", "--K", "3") == 2
+    assert f"error: line {lineno}: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_exact_estimate(tmp_path, capsys):
     model, mix_path = eval_workspace(tmp_path)
     est = MixtureEstimate(model.weights, model.markov_matrix(4))

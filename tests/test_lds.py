@@ -8,8 +8,7 @@ from ldsmix.lds import (MarkovVector, MixtureModel, NoiseConfig, StateSpace,
                         TrajectoryDataset, generate_dataset, impulse_response,
                         load_dataset, load_mixture, mixture_m2, mixture_sigma_k,
                         random_mixture, random_stable_system, rollout,
-                        sample_mixture, save_dataset, save_mixture, simulate,
-                        system_energy)
+                        sample_mixture, save_dataset, save_mixture, simulate)
 
 
 def scalar_system(a, b=1.0, c=1.0):
@@ -126,46 +125,6 @@ def test_markov_decay_bound():
         ratios = np.abs(g) / rho ** np.arange(1, 101)
         assert np.all(np.isfinite(ratios))
         assert ratios.max() == ratios[:60].max()
-
-
-def test_energy_geometric_closed_form():
-    # 1 + sum_{t>=1} 0.25^{t-1} = 1 + 4/3
-    val = system_energy(scalar_system(0.5), tail_tol=1e-12)
-    assert val == pytest.approx(7.0 / 3.0, abs=1e-10)
-
-
-def test_energy_zero_readout():
-    ss = StateSpace(np.array([[0.5]]), np.array([[1.0]]), np.array([0.0]))
-    assert system_energy(ss) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_energy_single_markov_term():
-    assert system_energy(scalar_system(0.0)) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_energy_matches_brute_force():
-    rng = np.random.default_rng(71)
-    for seed in range(8):
-        radius = float(rng.uniform(0.3, 0.9))
-        ss = random_stable_system(int(rng.integers(1, 4)), 1, radius, seed=seed)
-        g = impulse_response(ss, 2000).values
-        brute = 1.0 + float(np.sum(g ** 2))
-        assert system_energy(ss, tail_tol=1e-12) == pytest.approx(brute, abs=1e-8)
-
-
-def test_energy_oscillator_with_zero_terms():
-    # g(t) vanishes every other step; the tail bound must not stop at a zero
-    A = np.array([[0.0, 0.9], [0.9, 0.0]])
-    ss = StateSpace(A * 0.999, np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
-    g = impulse_response(ss, 4000).values
-    brute = 1.0 + float(np.sum(g ** 2))
-    assert system_energy(ss, tail_tol=1e-12) == pytest.approx(brute, rel=1e-9)
-
-
-def test_energy_near_unstable_raises():
-    ss = scalar_system(0.99999999)
-    with pytest.raises(RuntimeError):
-        system_energy(ss, tail_tol=1e-12)
 
 
 def test_noise_config_defaults_and_validation():
@@ -367,6 +326,25 @@ def test_dataset_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a dataset\n")
     with pytest.raises(ValueError, match="line 1"):
+        load_dataset(path)
+
+
+def test_dataset_rejects_non_finite(tmp_path):
+    inputs, outputs = np.zeros((2, 3, 1)), np.zeros((2, 3))
+    inputs[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        TrajectoryDataset(inputs, outputs)
+    outputs[0, 1] = -np.inf
+    with pytest.raises(ValueError, match="finite"):
+        TrajectoryDataset(np.zeros((2, 3, 1)), outputs)
+    # the loader names the file line of the first non-finite value
+    path = tmp_path / "d.txt"
+    save_dataset(path, TrajectoryDataset(np.ones((2, 3, 1)), np.ones((2, 3))))
+    lines = path.read_text().splitlines()
+    lines[6] = "inf 1"  # trajectory 1, first step
+    lines[7] = "1 nan"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"^line 7: non-finite value in 'inf 1'$"):
         load_dataset(path)
 
 

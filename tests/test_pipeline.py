@@ -8,9 +8,10 @@ import pytest
 from ldsmix.errors import InsufficientLengthError
 from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset,
                         generate_dataset, impulse_response, random_stable_system)
+from ldsmix.mlr import RegressionDataset
 from ldsmix.pipeline import (build_stacked, estimate_text, ho_kalman, load_estimate,
-                             mlds_fit, mlds_fit_refined, ols_markov, save_estimate,
-                             stack_inputs, stack_times)
+                             mlds_fit, ols_markov, save_estimate, stack_inputs,
+                             stack_times)
 
 
 def fir_system(m=1, gain=1.0):
@@ -77,49 +78,59 @@ def make_dataset(N=4, T=8, m=1, seed=0):
 
 
 def test_build_stacked_shapes_and_provenance():
+    # provenance is the layout: row i*S + s is trajectory i at time times[s]
     N, T, m, L = 4, 9, 2, 3
     ds = make_dataset(N, T, m)
-    sr = build_stacked(ds, L)
-    S = T // L
-    assert sr.data.X.shape == (N * S, L * m)
-    assert sr.traj_index.shape == (N * S,)
-    # provenance is a bijection onto [N] x J
-    pairs = set(zip(sr.traj_index.tolist(), sr.times.tolist()))
-    expect = {(i, t) for i in range(N) for t in range(L, T + 1, L)}
-    assert pairs == expect
-    assert len(pairs) == N * S
+    data = build_stacked(ds, L)
+    times = stack_times(T, L)
+    S = times.shape[0]
+    assert np.array_equal(times, np.arange(L, T + 1, L))
+    assert isinstance(data, RegressionDataset)
+    assert data.X.shape == (N * S, L * m)
+    assert data.y.shape == (N * S,)
+    for i in range(N):
+        _, rows = stack_inputs(ds.inputs[i], L)
+        for s in range(S):
+            assert np.array_equal(data.X[i * S + s], rows[s])
+            assert data.y[i * S + s] == ds.outputs[i, times[s] - 1]
 
 
 def test_build_stacked_raw_index_disjointness():
-    # distinct stacked covariates within a trajectory touch disjoint raw inputs
-    ds = make_dataset(3, 17, 1)
-    sr = build_stacked(ds, 4)
-    for i in range(3):
-        windows = [set(range(t - 4, t)) for t, ti in zip(sr.times, sr.traj_index) if ti == i]
-        for a in range(len(windows)):
-            for b in range(a + 1, len(windows)):
+    # distinct stacked covariates within a trajectory touch disjoint raw inputs;
+    # each input is coded 100*i + t, so X shows which raw inputs a row read
+    N, T, L = 3, 17, 4
+    code = 100.0 * np.arange(N)[:, None] + np.arange(T)
+    data = build_stacked(TrajectoryDataset(code[:, :, None], np.zeros((N, T))), L)
+    S = T // L
+    for i in range(N):
+        rows = data.X[i * S : (i + 1) * S]
+        assert np.all(rows // 100 == i)
+        windows = [set(r.tolist()) for r in rows]
+        for a in range(S):
+            for b in range(a + 1, S):
                 assert not (windows[a] & windows[b])
 
 
 def test_build_stacked_response_and_scaling():
     ds = make_dataset(2, 6, 1, seed=3)
-    sr = build_stacked(ds, 3, sigma_u=2.0)
+    data = build_stacked(ds, 3, sigma_u=2.0)
     # responses are the raw outputs at the subsampled times
-    assert sr.data.y[0] == ds.outputs[0, 2]
-    assert sr.data.y[1] == ds.outputs[0, 5]
+    assert data.y[0] == ds.outputs[0, 2]
+    assert data.y[1] == ds.outputs[0, 5]
     # covariates divided by sigma_u
     _, raw = stack_inputs(ds.inputs[0], 3)
-    assert np.allclose(sr.data.X[:2], raw / 2.0, atol=0)
+    assert np.allclose(data.X[:2], raw / 2.0, atol=0)
 
 
 def test_build_stacked_partition_by_trajectory():
     ds = make_dataset(5, 4, 1)
-    sr = build_stacked(ds, 2)
-    # default: first ceil(N/2)=3 trajectories feed M2
-    assert set(sr.traj_index[sr.data.idx_m2]) == {0, 1, 2}
-    assert set(sr.traj_index[sr.data.idx_m3]) == {3, 4}
+    data = build_stacked(ds, 2)
+    # S = 2 rows per trajectory; default: first ceil(N/2)=3 trajectories feed M2
+    assert np.array_equal(data.idx_m2, [0, 1, 2, 3, 4, 5])
+    assert np.array_equal(data.idx_m3, [6, 7, 8, 9])
     custom = build_stacked(ds, 2, partition=([0, 4], [1, 2, 3]))
-    assert set(custom.traj_index[custom.data.idx_m2]) == {0, 4}
+    assert np.array_equal(custom.idx_m2, [0, 1, 8, 9])
+    assert np.array_equal(custom.idx_m3, [2, 3, 4, 5, 6, 7])
     with pytest.raises(ValueError):
         build_stacked(ds, 2, partition=([0, 1], [1, 2, 3, 4]))
     with pytest.raises(ValueError):
@@ -300,7 +311,7 @@ def test_mlds_fit_refined_weights_sum():
     model = MixtureModel(np.array([0.5, 0.5]), systems)
     ds = generate_dataset(model, 200, 24, seed=12)
     plain = mlds_fit(ds, L=4, K=2, seed=0)
-    refined = mlds_fit_refined(ds, L=4, K=2, seed=0)
+    refined = mlds_fit(ds, L=4, K=2, seed=0, refine=True)
     assert refined.weights.sum() == pytest.approx(1.0, abs=1e-12)
     # refinement only reweights; the Markov estimates are untouched
     assert np.allclose(refined.coeffs, plain.coeffs, atol=1e-12)

@@ -1,14 +1,14 @@
-"""Tests for symmetric third-order tensor ops and the robust power method."""
+"""Tests for symmetric (d, d, d) array ops, the reference oracles, and the robust power method."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from ldsmix.errors import DecompositionError, ZeroUpdateError
-from ldsmix.tensor3 import (SymTensor3, TensorFactor, apply_matrix3, contract,
-                            op_norm_estimate, outer3, power_update, robust_tpm,
-                            symmetrize)
+from ldsmix.errors import DecompositionError
+from ldsmix.mlr import fit_from_moments
+from ldsmix.tensor3 import apply_matrix3, robust_tpm, symmetrize
+from oracles import contract, op_norm_estimate, outer3, power_update
 
 
 def contract_oracle(values, a, b, c):
@@ -33,7 +33,7 @@ def apply_oracle(values, V):
 
 
 def random_sym(rng, d):
-    return SymTensor3(symmetrize(rng.normal(size=(d, d, d))))
+    return symmetrize(rng.normal(size=(d, d, d)))
 
 
 def unit(v):
@@ -49,19 +49,19 @@ def test_outer3_basis_vector():
     t = outer3([1.0, 0.0])
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 1.0
-    assert np.array_equal(t.values, expected)
+    assert np.array_equal(t, expected)
 
 
 def test_outer3_zero_vector():
-    assert np.array_equal(outer3([0.0, 0.0, 0.0]).values, np.zeros((3, 3, 3)))
+    assert np.array_equal(outer3([0.0, 0.0, 0.0]), np.zeros((3, 3, 3)))
 
 
 def test_outer3_hand_entry():
     # v = (1,2): entry (0,1,1) = 1*2*2
     t = outer3([1.0, 2.0])
-    assert t.values[0, 1, 1] == 4.0
-    assert t.values[1, 1, 1] == 8.0
-    assert t.values[0, 0, 1] == 2.0
+    assert t[0, 1, 1] == 4.0
+    assert t[1, 1, 1] == 8.0
+    assert t[0, 0, 1] == 2.0
 
 
 def test_outer3_matches_triple_loop():
@@ -70,29 +70,24 @@ def test_outer3_matches_triple_loop():
         v = rng.normal(size=4)
         t = outer3(v)
         i, j, k = rng.integers(0, 4, size=3)
-        assert t.values[i, j, k] == pytest.approx(v[i] * v[j] * v[k], abs=1e-14)
+        assert t[i, j, k] == pytest.approx(v[i] * v[j] * v[k], abs=1e-14)
 
 
-def test_symtensor3_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        SymTensor3(np.zeros((2, 3, 2)))
-    with pytest.raises(ValueError):
-        SymTensor3(np.zeros((2, 2)))
+def test_tensor_inputs_reject_bad_shape():
+    for shape in ((2, 3, 2), (2, 2), (0, 0, 0)):
+        with pytest.raises(ValueError, match="expected a"):
+            robust_tpm(np.zeros(shape), 1)
+        with pytest.raises(ValueError, match="expected a"):
+            fit_from_moments(np.eye(2), np.zeros(shape), 1)
 
 
-def test_symtensor3_rejects_asymmetric():
+def test_tensor_inputs_reject_asymmetric():
     values = np.zeros((2, 2, 2))
     values[0, 1, 0] = 1.0
-    with pytest.raises(ValueError):
-        SymTensor3(values)
-
-
-def test_symtensor3_dim_and_copy():
-    t = random_sym(np.random.default_rng(0), 3)
-    assert t.dim == 3
-    c = t.copy()
-    c.values[0, 0, 0] += 1.0
-    assert t.values[0, 0, 0] != c.values[0, 0, 0]
+    with pytest.raises(ValueError, match="asymmetric"):
+        robust_tpm(values, 1)
+    with pytest.raises(ValueError, match="asymmetric"):
+        fit_from_moments(np.eye(2), values, 1)
 
 
 def test_symmetrize_fixes_random_tensor():
@@ -118,7 +113,7 @@ def test_contract_rank1_identity():
 def test_contract_basis_extraction():
     t = random_sym(np.random.default_rng(3), 3)
     e1 = np.array([1.0, 0.0, 0.0])
-    assert contract(t, e1, e1, e1) == t.values[0, 0, 0]
+    assert contract(t, e1, e1, e1) == t[0, 0, 0]
 
 
 def test_contract_matches_triple_loop():
@@ -127,7 +122,7 @@ def test_contract_matches_triple_loop():
         t = random_sym(rng, 3)
         a, b, c = rng.normal(size=(3, 3))
         assert contract(t, a, b, c) == pytest.approx(
-            contract_oracle(t.values, a, b, c), abs=1e-12)
+            contract_oracle(t, a, b, c), abs=1e-12)
 
 
 def test_contract_dimension_mismatch():
@@ -150,7 +145,7 @@ def test_contract_multilinearity():
 def test_apply_matrix3_identity():
     t = random_sym(np.random.default_rng(2), 4)
     out = apply_matrix3(t, np.eye(4))
-    assert np.allclose(out.values, t.values, atol=1e-12)
+    assert np.allclose(out, t, atol=1e-12)
 
 
 def test_apply_matrix3_rank1():
@@ -158,7 +153,7 @@ def test_apply_matrix3_rank1():
     v = rng.normal(size=4)
     V = rng.normal(size=(4, 2))
     out = apply_matrix3(outer3(v), V)
-    assert np.allclose(out.values, outer3(V.T @ v).values, atol=1e-12)
+    assert np.allclose(out, outer3(V.T @ v), atol=1e-12)
 
 
 def test_apply_matrix3_matches_triple_loop():
@@ -167,7 +162,7 @@ def test_apply_matrix3_matches_triple_loop():
         t = random_sym(rng, 4)
         V = rng.normal(size=(4, 2))
         out = apply_matrix3(t, V)
-        assert np.allclose(out.values, apply_oracle(t.values, V), atol=1e-12)
+        assert np.allclose(out, apply_oracle(t, V), atol=1e-12)
 
 
 def test_apply_matrix3_dimension_mismatch():
@@ -177,14 +172,15 @@ def test_apply_matrix3_dimension_mismatch():
 
 
 def test_symmetry_closure():
-    # outer3, apply_matrix3 and deflation land inside the symmetry check
+    # outer3, apply_matrix3 and deflation land inside the symmetry check that
+    # apply_matrix3 runs on its input
     rng = np.random.default_rng(31)
     for _ in range(10):
         t = random_sym(rng, 5)
         V = rng.normal(size=(5, 3))
-        SymTensor3(apply_matrix3(t, V).values)
+        apply_matrix3(apply_matrix3(t, V), np.eye(3))
         v = unit(rng.normal(size=5))
-        SymTensor3(t.values - 0.3 * outer3(v).values)
+        apply_matrix3(t - 0.3 * outer3(v), np.eye(5))
 
 
 def test_power_update_rank1_fixed_point():
@@ -197,13 +193,13 @@ def test_power_update_rank1_fixed_point():
 
 def test_power_update_orthogonal_start_raises():
     t = outer3([1.0, 0.0])
-    with pytest.raises(ZeroUpdateError):
+    with pytest.raises(ValueError, match="zero vector"):
         power_update(t, np.array([0.0, 1.0]))
 
 
 def test_power_update_two_component_oracle():
     # M(I,u,u) = (0.6 u1^2, 0.4 u2^2) for the orthogonal basis tensor
-    t = SymTensor3(0.6 * outer3([1.0, 0.0]).values + 0.4 * outer3([0.0, 1.0]).values)
+    t = 0.6 * outer3([1.0, 0.0]) + 0.4 * outer3([0.0, 1.0])
     u = unit([0.8, 0.6])
     raw = np.array([0.6 * 0.64, 0.4 * 0.36])
     expected = raw / np.linalg.norm(raw)
@@ -216,7 +212,7 @@ def test_power_update_converges_fast_on_rank1():
         d = int(rng.integers(2, 6))
         v = unit(rng.normal(size=d))
         lam = float(rng.uniform(0.2, 3.0))
-        t = SymTensor3(lam * outer3(v).values)
+        t = lam * outer3(v)
         u = unit(rng.normal(size=d))
         if abs(np.dot(u, v)) < 1e-3:
             continue
@@ -230,11 +226,11 @@ def test_op_norm_rank1():
 
 
 def test_op_norm_zero_tensor():
-    assert op_norm_estimate(SymTensor3(np.zeros((3, 3, 3)))) == 0.0
+    assert op_norm_estimate(np.zeros((3, 3, 3))) == 0.0
 
 
 def test_op_norm_orthogonal_pair():
-    t = SymTensor3(0.6 * outer3([1.0, 0.0]).values + 0.4 * outer3([0.0, 1.0]).values)
+    t = 0.6 * outer3([1.0, 0.0]) + 0.4 * outer3([0.0, 1.0])
     assert op_norm_estimate(t, n_restarts=50, n_iters=100, seed=2) == pytest.approx(0.6, abs=1e-6)
 
 
@@ -266,32 +262,31 @@ def test_norm_sandwich_flag_only():
 
 
 def test_robust_tpm_single_component():
-    facs = robust_tpm(outer3([1.0, 0.0]), 1, seed=0)
-    assert len(facs) == 1
-    lam, v = facs[0].weight, facs[0].vector
+    lams, vecs = robust_tpm(outer3([1.0, 0.0]), 1, seed=0)
+    assert len(lams) == 1
+    lam, v = lams[0], vecs[0]
     assert lam == pytest.approx(1.0, abs=1e-9)
     assert min(np.linalg.norm(v - [1, 0]), np.linalg.norm(v + [1, 0])) < 1e-9
 
 
 def test_robust_tpm_two_components():
-    t = SymTensor3(0.6 * outer3([1.0, 0.0]).values + 0.4 * outer3([0.0, 1.0]).values)
-    facs = robust_tpm(t, 2, seed=0)
+    t = 0.6 * outer3([1.0, 0.0]) + 0.4 * outer3([0.0, 1.0])
+    lams, vecs = robust_tpm(t, 2, seed=0)
     # canonicalized: weights {0.6, 0.4}, vectors {e1, e2}
-    lams = sorted(abs(f.weight) for f in facs)
-    assert lams == pytest.approx([0.4, 0.6], abs=1e-6)
-    for f in facs:
-        axis = np.argmax(np.abs(f.vector))
-        assert abs(abs(f.vector[axis]) - 1.0) < 1e-6
+    assert sorted(np.abs(lams)) == pytest.approx([0.4, 0.6], abs=1e-6)
+    for v in vecs:
+        axis = np.argmax(np.abs(v))
+        assert abs(abs(v[axis]) - 1.0) < 1e-6
 
 
-def match_factors(facs, V, p):
+def match_factors(factors, V, p):
     """Brute-force permutation/sign match; returns worst deviation."""
     K = len(p)
     best = np.inf
     for perm in itertools.permutations(range(K)):
         worst = 0.0
         for k, j in enumerate(perm):
-            lam, v = facs[j].weight, facs[j].vector
+            lam, v = factors[0][j], factors[1][j]
             if lam < 0:
                 lam, v = -lam, -v
             dv = min(np.linalg.norm(v - V[:, k]), np.linalg.norm(v + V[:, k]))
@@ -304,9 +299,8 @@ def test_robust_tpm_three_random_orthonormal():
     rng = np.random.default_rng(47)
     V = orthonormal(rng, 3, 3)
     p = np.array([0.5, 0.3, 0.2])
-    t = SymTensor3(sum(p[k] * outer3(V[:, k]).values for k in range(3)))
-    facs = robust_tpm(t, 3, seed=1)
-    assert match_factors(facs, V, p) < 1e-6
+    t = sum(p[k] * outer3(V[:, k]) for k in range(3))
+    assert match_factors(robust_tpm(t, 3, seed=1), V, p) < 1e-6
 
 
 def test_robust_tpm_exact_recovery_property():
@@ -316,38 +310,37 @@ def test_robust_tpm_exact_recovery_property():
         d = int(rng.integers(K, K + 3))
         V = orthonormal(rng, d, K)
         p = rng.uniform(0.05, 1.0, size=K)
-        t = SymTensor3(symmetrize(sum(p[k] * outer3(V[:, k]).values for k in range(K))))
-        facs = robust_tpm(t, K, n_restarts=max(20, 20 * K), n_iters=100, seed=trial)
-        assert match_factors(facs, V, p) < 1e-6, f"trial {trial} K={K} d={d}"
+        t = symmetrize(sum(p[k] * outer3(V[:, k]) for k in range(K)))
+        factors = robust_tpm(t, K, n_restarts=max(20, 20 * K), n_iters=100, seed=trial)
+        assert match_factors(factors, V, p) < 1e-6, f"trial {trial} K={K} d={d}"
 
 
 def test_robust_tpm_negative_weight_reconstruction():
     # odd tensors absorb a sign flip into the vector; reconstruction is exact
-    t = SymTensor3(-0.6 * outer3([1.0, 0.0]).values + 0.4 * outer3([0.0, 1.0]).values)
-    facs = robust_tpm(t, 2, seed=5)
-    recon = sum(f.weight * outer3(f.vector).values for f in facs)
-    assert np.allclose(recon, t.values, atol=1e-8)
+    t = -0.6 * outer3([1.0, 0.0]) + 0.4 * outer3([0.0, 1.0])
+    lams, vecs = robust_tpm(t, 2, seed=5)
+    recon = sum(lam * outer3(v) for lam, v in zip(lams, vecs))
+    assert np.allclose(recon, t, atol=1e-8)
 
 
 def test_robust_tpm_deterministic():
     rng = np.random.default_rng(59)
     V = orthonormal(rng, 4, 3)
     p = np.array([0.5, 0.4, 0.1])
-    t = SymTensor3(symmetrize(sum(p[k] * outer3(V[:, k]).values for k in range(3))))
+    t = symmetrize(sum(p[k] * outer3(V[:, k]) for k in range(3)))
     a = robust_tpm(t, 3, seed=9)
     b = robust_tpm(t, 3, seed=9)
-    for fa, fb in zip(a, b):
-        assert fa.weight == fb.weight
-        assert np.array_equal(fa.vector, fb.vector)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_robust_tpm_zero_tensor_raises():
     with pytest.raises(DecompositionError) as exc:
-        robust_tpm(SymTensor3(np.zeros((2, 2, 2))), 2, seed=0)
+        robust_tpm(np.zeros((2, 2, 2)), 2, seed=0)
     assert exc.value.round_index == 0
 
 
 def test_robust_tpm_factor_type():
-    facs = robust_tpm(outer3([0.0, 1.0]), 1, seed=0)
-    assert isinstance(facs[0], TensorFactor)
-    assert facs[0].vector.shape == (2,)
+    lams, vecs = robust_tpm(outer3([0.0, 1.0]), 1, seed=0)
+    assert isinstance(lams, np.ndarray) and lams.shape == (1,)
+    assert isinstance(vecs, np.ndarray) and vecs.shape == (1, 2)

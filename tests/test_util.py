@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from ldsmix.util import atomic_write_text, derive_seed, fmt, parse_header
+from ldsmix.util import atomic_write_text, derive_seed, fmt, parse_floats, parse_header, parse_weight
 
 
 def test_fmt_round_trips_float64():
@@ -59,3 +59,18 @@ def test_parse_header_rejections():
         parse_header("demo v1, K=2", "demo", ("K", "L"))
     with pytest.raises(ValueError, match="malformed"):
         parse_header("demo v1, K", "demo", ("K",))
+
+
+def test_parse_rows_name_the_line():
+    assert parse_weight("weight 0.25", 2) == 0.25
+    assert np.array_equal(parse_floats("1 -2.5", 2, 3), [1.0, -2.5])
+    cases = [
+        (lambda: parse_weight("weigh 0.25", 2), "line 2: expected 'weight <p>', got 'weigh 0.25'"),
+        (lambda: parse_weight("weight x", 4), "line 4: malformed weight 'x'"),
+        (lambda: parse_floats("1 2 3", 2, 5), "line 5: expected 2 numbers, got 3"),
+        (lambda: parse_floats("1 two", 2, 6), "line 6: malformed float in '1 two'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
