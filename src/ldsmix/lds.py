@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMixtureError
-from .util import atomic_write_text, fmt, parse_floats, parse_header, parse_weight
+from .util import FLOAT_FORMAT, atomic_write_text, fmt, parse_floats, parse_header, parse_weight
 
 
 def _spectral_radius(A) -> float:
@@ -90,7 +91,7 @@ class NoiseConfig:
 
 @dataclass
 class MixtureModel:
-    """K strictly stable components with strictly positive weights summing to one."""
+    """K strictly stable components with finite, strictly positive weights summing to one."""
 
     weights: np.ndarray
     systems: list
@@ -100,6 +101,8 @@ class MixtureModel:
         K = self.weights.shape[0]
         if K < 1 or len(self.systems) != K:
             raise ValueError("need one system per weight")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("mixture weights must be finite")
         if np.any(self.weights <= 0.0):
             raise ValueError("mixture weights must be strictly positive")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
@@ -197,23 +200,38 @@ def impulse_response(ss: StateSpace, L: int) -> MarkovVector:
 def simulate(ss: StateSpace, inputs, process_noise=None, measurement_noise=None) -> np.ndarray:
     """Run x_{t+1} = A x_t + B (u_t + w1_t), y_{t+1} = C x_{t+1} + w2_{t+1} from x_0 = 0.
 
-    Returns outputs with outputs[i] = y_{i+1} for i = 0..T-1.
+    inputs has shape (..., T, m), or (T,) for a single-input system; leading
+    axes index independent trajectories. Returns outputs of shape (..., T)
+    with outputs[..., i] = y_{i+1} for i = 0..T-1. Each step applies A, B and
+    C with stacked matmuls, which run the same per-trajectory gemv/dot kernels
+    as a single trajectory does, so a batch gives the same bits as one call
+    per trajectory.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]
-    if inputs.shape[1] != ss.input_dim:
-        raise ValueError(f"inputs must have {ss.input_dim} columns, got {inputs.shape[1]}")
+    if inputs.shape[-1] != ss.input_dim:
+        raise ValueError(f"inputs must have {ss.input_dim} columns, got {inputs.shape[-1]}")
     drive = inputs if process_noise is None else inputs + np.asarray(process_noise, dtype=float)
-    T = inputs.shape[0]
-    x = np.zeros(ss.order)
-    out = np.empty(T)
-    for t in range(T):
-        x = ss.A @ x + ss.B @ drive[t]
-        out[t] = ss.C @ x
+    x = np.zeros(inputs.shape[:-2] + (ss.order, 1))
+    out = np.empty(inputs.shape[:-1])
+    for t in range(inputs.shape[-2]):
+        x = np.matmul(ss.A, x) + np.matmul(ss.B, drive[..., t, :, None])
+        out[..., t] = np.matmul(ss.C, x)[..., 0]
     if measurement_noise is not None:
-        out = out + np.asarray(measurement_noise, dtype=float).reshape(-1)
+        out = out + np.asarray(measurement_noise, dtype=float).reshape(out.shape)
     return out
+
+
+def _draw(T: int, m: int, noise: NoiseConfig, seed):
+    # one trajectory's Gaussian draws in the fixed order inputs, process noise, measurement noise
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    rng = np.random.default_rng(seed)
+    u = rng.normal(0.0, noise.sigma_u, size=(T, m))
+    w1 = rng.normal(0.0, noise.sigma_w1, size=(T, m))
+    w2 = rng.normal(0.0, noise.sigma_w2, size=T)
+    return u, w1, w2
 
 
 def rollout(ss: StateSpace, T: int, noise: NoiseConfig = NoiseConfig(), seed=0):
@@ -222,13 +240,7 @@ def rollout(ss: StateSpace, T: int, noise: NoiseConfig = NoiseConfig(), seed=0):
     Draw order is fixed (inputs, then process noise, then measurement noise),
     so a seed fully determines the trajectory.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    rng = np.random.default_rng(seed)
-    m = ss.input_dim
-    u = rng.normal(0.0, noise.sigma_u, size=(T, m))
-    w1 = rng.normal(0.0, noise.sigma_w1, size=(T, m))
-    w2 = rng.normal(0.0, noise.sigma_w2, size=T)
+    u, w1, w2 = _draw(T, ss.input_dim, noise, seed)
     return u, simulate(ss, u, w1, w2)
 
 
@@ -244,16 +256,22 @@ def generate_dataset(model: MixtureModel, N: int, T: int, noise: NoiseConfig = N
     """Labels from the mixture, then one independent rollout per trajectory.
 
     Per-trajectory streams are derived from (seed, trajectory index), so the
-    result is independent of generation order.
+    result is independent of generation order. Each component then simulates
+    all of its trajectories in one batch, with the same outputs as rollout.
     """
     labels = sample_mixture(model, N, np.random.SeedSequence((seed, 1)))
     m = model.input_dim
     U = np.empty((N, T, m))
+    drive = np.empty((N, T, m))
     Y = np.empty((N, T))
     for i in range(N):
-        u, y = rollout(model.systems[labels[i]], T, noise, np.random.SeedSequence((seed, 2, i + 1)))
-        U[i] = u
-        Y[i] = y
+        U[i], drive[i], Y[i] = _draw(T, m, noise, np.random.SeedSequence((seed, 2, i + 1)))
+    # drive = process noise + inputs and Y = measurement noise + noise-free outputs, formed
+    # in place: float addition commutes bitwise, so this equals simulate(ss, u, w1, w2)
+    drive += U
+    for k, ss in enumerate(model.systems):
+        rows = np.flatnonzero(labels == k)
+        Y[rows] += simulate(ss, drive[rows])
     return TrajectoryDataset(U, Y, labels)
 
 
@@ -301,19 +319,30 @@ def random_mixture(K: int, n: int, m: int, L: int, radius_range=(0.6, 0.9), weig
 def save_dataset(path, ds: TrajectoryDataset) -> None:
     """Write the mlds-dataset v1 text format (17 significant digits, atomic)."""
     labeled = 1 if ds.labels is not None else 0
-    lines = [f"mlds-dataset v1, N={ds.N}, T={ds.T}, m={ds.m}, labeled={labeled}"]
+    rows = np.concatenate([ds.inputs, ds.outputs[:, :, None]], axis=2)
+    # one '%' per trajectory fills a T-row template, in the same format as fmt
+    block = "\n".join([" ".join([FLOAT_FORMAT] * (ds.m + 1))] * ds.T)
+    parts = [f"mlds-dataset v1, N={ds.N}, T={ds.T}, m={ds.m}, labeled={labeled}"]
     for i in range(ds.N):
         lab = str(int(ds.labels[i])) if labeled else "-"
-        lines.append(f"traj {i} label {lab}")
-        for t in range(ds.T):
-            row = [fmt(v) for v in ds.inputs[i, t]]
-            row.append(fmt(ds.outputs[i, t]))
-            lines.append(" ".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        parts.append(f"traj {i} label {lab}\n" + block % tuple(rows[i].ravel().tolist()))
+    atomic_write_text(path, "\n".join(parts) + "\n")
+
+
+def _parse_rows(rows, m: int, T: int) -> np.ndarray:
+    # rows[j] is numeric row t = j % T of trajectory j // T, at file line 3 + (j // T) * (T + 1) + j % T
+    return np.array([parse_floats(row, m + 1, 3 + (j // T) * (T + 1) + j % T)
+                     for j, row in enumerate(rows)]).reshape(-1, m + 1)
 
 
 def load_dataset(path) -> TrajectoryDataset:
-    """Read the mlds-dataset v1 text format; parse errors and non-finite values report line numbers."""
+    """Read the mlds-dataset v1 text format; parse errors and non-finite values report line numbers.
+
+    Numeric rows are converted in one np.loadtxt pass. loadtxt accepts a
+    subset of what float() accepts (no '1_0', no non-ASCII digits) and skips
+    blank rows, so when it fails or returns another shape the rows are parsed
+    again one by one, which gives float()'s values or the first bad line.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -325,28 +354,38 @@ def load_dataset(path) -> TrajectoryDataset:
     expected = 1 + N * (T + 1)
     if len(lines) != expected:
         raise ValueError(f"expected {expected} lines for N={N}, T={T}, got {len(lines)}")
-    U = np.empty((N, T, m))
-    Y = np.empty((N, T))
+    body = lines[1:]
+    heads = body[::T + 1]
+    del body[::T + 1]
     labels = np.empty(N, dtype=int) if labeled else None
-    pos = 1
-    for i in range(N):
-        toks = lines[pos].split()
+
+    def fail(message):
+        _parse_rows(body[:i * T], m, T)  # a bad numeric row above trajectory i's line is reported first
+        raise ValueError(f"line {2 + i * (T + 1)}: {message}") from None
+
+    for i, line in enumerate(heads):
+        toks = line.split()
         if len(toks) != 4 or toks[0] != "traj" or toks[2] != "label" or toks[1] != str(i):
-            raise ValueError(f"line {pos + 1}: expected 'traj {i} label <k|->', got {lines[pos]!r}")
+            fail(f"expected 'traj {i} label <k|->', got {line!r}")
         if labeled:
             try:
                 labels[i] = int(toks[3])
             except ValueError:
-                raise ValueError(f"line {pos + 1}: labeled dataset needs an integer label") from None
+                fail("labeled dataset needs an integer label")
         elif toks[3] != "-":
-            raise ValueError(f"line {pos + 1}: unlabeled dataset must use '-' labels")
-        pos += 1
-        for t in range(T):
-            row = parse_floats(lines[pos], m + 1, pos + 1)
-            U[i, t] = row[:m]
-            Y[i, t] = row[m]
-            pos += 1
-    bad = ~(np.isfinite(U).all(axis=2) & np.isfinite(Y))
+            fail("unlabeled dataset must use '-' labels")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns when every row is blank
+            rows = np.loadtxt(body, comments=None, ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (N * T, m + 1):
+        rows = _parse_rows(body, m, T)
+    rows = rows.reshape(N, T, m + 1)
+    U = np.ascontiguousarray(rows[:, :, :m])
+    Y = np.ascontiguousarray(rows[:, :, m])
+    bad = ~np.isfinite(rows).all(axis=2)
     if bad.any():
         i, t = divmod(int(np.argmax(bad)), T)
         lineno = 3 + i * (T + 1) + t

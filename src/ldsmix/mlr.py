@@ -32,11 +32,15 @@ class RegressionDataset:
         self.idx_m3 = np.asarray(self.idx_m3, dtype=np.intp).reshape(-1)
         if self.X.ndim != 2 or self.X.shape[0] != self.y.shape[0]:
             raise ValueError("X must be (N, d) with one response per row")
+        if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
+            raise ValueError("X and y must be finite")
         N = self.y.shape[0]
         if self.idx_m2.size == 0 or self.idx_m3.size == 0:
             raise ValueError("both moment halves must be non-empty")
         both = np.concatenate([self.idx_m2, self.idx_m3])
-        if both.size != N or np.unique(both).size != N or both.min() < 0 or both.max() >= N:
+        # N in-range indices with no index counted twice cover range(N) exactly
+        if (both.size != N or both.min() < 0 or both.max() >= N
+                or np.bincount(both, minlength=N).max() > 1):
             raise ValueError("idx_m2 and idx_m3 must partition range(N)")
 
     @classmethod

@@ -20,10 +20,12 @@ def symmetrize(values) -> np.ndarray:
 
 
 def _check_symmetric(values) -> np.ndarray:
-    # tensors from outside the package must be (d, d, d) and invariant under index permutations
+    # tensors from outside the package must be finite, (d, d, d) and invariant under index permutations
     values = np.asarray(values, dtype=float)
     if values.ndim != 3 or values.shape[0] < 1 or len(set(values.shape)) != 1:
         raise ValueError(f"expected a (d, d, d) array with d >= 1, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("tensor entries must be finite")
     scale = float(np.abs(values).max())
     if scale > 0.0:
         defect = max(float(np.abs(values - values.transpose(p)).max()) for p in _PERMS)
@@ -44,21 +46,35 @@ def apply_matrix3(M, V) -> np.ndarray:
     return symmetrize(out)
 
 
-def _cubic(mat2, u):
-    # M(u, u, u) with the tensor pre-reshaped to (d, d*d)
-    return float(mat2 @ np.multiply.outer(u, u).ravel() @ u)
+def _apply(mat2, U):
+    # row r is M(I, u_r, u_r) for the tensor pre-reshaped to (d, d*d); the
+    # stacked matmul calls the same per-row gemv as mat2 @ vector would
+    outer = (U[:, :, None] * U[:, None, :]).reshape(U.shape[0], -1)
+    return np.matmul(mat2, outer[:, :, None])[:, :, 0]
 
 
-def _power_iterations(mat2, u, n_iters):
-    # each step is a single gemv against the reshaped tensor; returns
-    # (iterate, collapsed), stopping at the last nonzero iterate when an update is zero
+def _row_dots(A, B):
+    # per-row dot products through the same ddot kernel as a 1-d a @ b
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _cubic(mat2, U):
+    # M(u_r, u_r, u_r) for every row of U
+    return _row_dots(_apply(mat2, U), U)
+
+
+def _power_iterations(mat2, U, n_iters):
+    # n_iters normalized updates of every row of U (R, d); a row whose update
+    # is zero keeps its last nonzero iterate, is flagged as collapsed, and
+    # stays put because its update stays zero
+    U = U.copy()
+    collapsed = np.zeros(U.shape[0], dtype=bool)
     for _ in range(n_iters):
-        w = mat2 @ np.multiply.outer(u, u).ravel()
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return u, True
-        u = w / nrm
-    return u, False
+        W = _apply(mat2, U)
+        nrm = np.sqrt(_row_dots(W, W))
+        collapsed |= nrm == 0.0
+        np.divide(W, nrm[:, None], out=U, where=~collapsed[:, None])
+    return U, collapsed
 
 
 def _unit_sphere(rng, d):
@@ -78,7 +94,9 @@ def robust_tpm(T, K: int, n_restarts=None, n_iters: int = 100, seed: int = 0):
     index), polishes it with n_iters further updates, records T(u, u, u) with
     its sign and u, and deflates. Restarts that collapse to a zero update are
     skipped; if every restart in a round collapses, a DecompositionError
-    carrying the round index is raised.
+    carrying the round index is raised. The restarts of a round advance
+    together as one (n_restarts, d) array through the same per-restart gemv
+    and dot kernels as one restart at a time, so the result has the same bits.
 
     Returns (lams, vecs): lams has shape (K,) and row k of vecs (K, d) is the
     unit vector extracted in round k.
@@ -97,20 +115,16 @@ def robust_tpm(T, K: int, n_restarts=None, n_iters: int = 100, seed: int = 0):
     vecs = np.empty((K, d))
     for rnd in range(K):
         mat2 = T.reshape(d, -1)
-        best_u = None
-        best_val = -np.inf
-        for restart in range(n_restarts):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, rnd + 1, restart + 1)))
-            u, collapsed = _power_iterations(mat2, _unit_sphere(rng, d), n_iters)
-            if collapsed:
-                continue
-            val = _cubic(mat2, u)
-            if best_u is None or val > best_val:
-                best_u, best_val = u, val
-        if best_u is None:
+        starts = np.stack([
+            _unit_sphere(np.random.default_rng(np.random.SeedSequence((seed, rnd + 1, r + 1))), d)
+            for r in range(n_restarts)])
+        U, collapsed = _power_iterations(mat2, starts, n_iters)
+        alive = np.flatnonzero(~collapsed)
+        if alive.size == 0:
             raise DecompositionError(rnd, f"every restart collapsed to a zero update in round {rnd}")
-        u, _ = _power_iterations(mat2, best_u, n_iters)
-        lam = _cubic(mat2, u)
+        best = U[alive[np.argmax(_cubic(mat2, U[alive]))]]
+        U, _ = _power_iterations(mat2, best[None, :], n_iters)
+        lam, u = float(_cubic(mat2, U)[0]), U[0]
         lams[rnd], vecs[rnd] = lam, u
         T = T - lam * np.einsum("i,j,k->ijk", u, u, u)
     return lams, vecs

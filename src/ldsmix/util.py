@@ -8,9 +8,12 @@ import tempfile
 import numpy as np
 
 
+FLOAT_FORMAT = "%.17g"
+
+
 def fmt(x) -> str:
     """Decimal text with enough digits to round-trip a float64 exactly."""
-    return f"{float(x):.17g}"
+    return FLOAT_FORMAT % float(x)
 
 
 def atomic_write_text(path, text: str) -> None:

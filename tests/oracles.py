@@ -1,4 +1,4 @@
-"""Reference tensor operations on plain (d, d, d) arrays, used only by the tests."""
+"""Reference implementations used only by the tests: tensor operations and the per-item loops."""
 
 import numpy as np
 
@@ -41,3 +41,91 @@ def op_norm_estimate(M, n_restarts: int = 50, n_iters: int = 100, seed: int = 0)
                 break
         best = max(best, abs(contract(M, u, u, u)))
     return best
+
+
+# Per-item loops that the package's batched kernels replace. Each batched
+# kernel must reproduce them bit for bit (array_equal), not just closely.
+
+def simulate_loop(ss, inputs, process_noise=None, measurement_noise=None) -> np.ndarray:
+    """One trajectory, one time step at a time: x <- A x + B (u + w1), y = C x + w2."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim == 1:
+        inputs = inputs[:, None]
+    drive = inputs if process_noise is None else inputs + np.asarray(process_noise, dtype=float)
+    x = np.zeros(ss.order)
+    out = np.empty(inputs.shape[0])
+    for t in range(inputs.shape[0]):
+        x = ss.A @ x + ss.B @ drive[t]
+        out[t] = ss.C @ x
+    if measurement_noise is not None:
+        out = out + np.asarray(measurement_noise, dtype=float).reshape(-1)
+    return out
+
+
+def generate_dataset_loop(model, N, T, noise, seed=0):
+    """Labels, then one rollout per trajectory from SeedSequence((seed, 2, i + 1)); returns (U, Y, labels)."""
+    labels = np.random.default_rng(np.random.SeedSequence((seed, 1))).choice(model.K, size=N, p=model.weights)
+    m = model.input_dim
+    U = np.empty((N, T, m))
+    Y = np.empty((N, T))
+    for i in range(N):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 2, i + 1)))
+        U[i] = rng.normal(0.0, noise.sigma_u, size=(T, m))
+        w1 = rng.normal(0.0, noise.sigma_w1, size=(T, m))
+        w2 = rng.normal(0.0, noise.sigma_w2, size=T)
+        Y[i] = simulate_loop(model.systems[labels[i]], U[i], w1, w2)
+    return U, Y, labels
+
+
+def power_loop(mat2, u, n_iters):
+    """n_iters updates against the (d, d*d) reshaped tensor; returns (u, collapsed) at the first zero update."""
+    for _ in range(n_iters):
+        w = mat2 @ np.multiply.outer(u, u).ravel()
+        nrm = np.linalg.norm(w)
+        if nrm == 0.0:
+            return u, True
+        u = w / nrm
+    return u, False
+
+
+def robust_tpm_loop(T, K, n_restarts=None, n_iters=100, seed=0):
+    """Restarts one after another; the first strictly largest T(u, u, u) wins, collapsed restarts are skipped.
+
+    Returns (lams, vecs), or the round index of the first round in which every restart collapsed.
+    """
+    T = np.asarray(T, dtype=float)
+    n_restarts = 20 * K if n_restarts is None else n_restarts
+    d = T.shape[0]
+    lams, vecs = np.empty(K), np.empty((K, d))
+    for rnd in range(K):
+        mat2 = T.reshape(d, -1)
+        best_u, best_val = None, -np.inf
+        for restart in range(n_restarts):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, rnd + 1, restart + 1)))
+            u = rng.normal(size=d)
+            while np.linalg.norm(u) == 0.0:
+                u = rng.normal(size=d)
+            u, collapsed = power_loop(mat2, u / np.linalg.norm(u), n_iters)
+            if collapsed:
+                continue
+            val = float(mat2 @ np.multiply.outer(u, u).ravel() @ u)
+            if best_u is None or val > best_val:
+                best_u, best_val = u, val
+        if best_u is None:
+            return rnd
+        u, _ = power_loop(mat2, best_u, n_iters)
+        lams[rnd] = float(mat2 @ np.multiply.outer(u, u).ravel() @ u)
+        vecs[rnd] = u
+        T = T - lams[rnd] * np.einsum("i,j,k->ijk", u, u, u)
+    return lams, vecs
+
+
+def dataset_text_loop(inputs, outputs, labels=None) -> str:
+    """The mlds-dataset v1 text, formatted one value at a time with '%.17g'."""
+    N, T, m = inputs.shape
+    lines = [f"mlds-dataset v1, N={N}, T={T}, m={m}, labeled={0 if labels is None else 1}"]
+    for i in range(N):
+        lines.append(f"traj {i} label {'-' if labels is None else int(labels[i])}")
+        for t in range(T):
+            lines.append(" ".join(f"{float(v):.17g}" for v in [*inputs[i, t], outputs[i, t]]))
+    return "\n".join(lines) + "\n"

@@ -186,6 +186,18 @@ def test_eval_exact_estimate(tmp_path, capsys):
     assert "mean_weight_error 0\n" in out
 
 
+def test_eval_non_finite_weight_exit_code(tmp_path, capsys):
+    model, mix_path = eval_workspace(tmp_path)
+    est_path = str(tmp_path / "est.txt")
+    save_estimate(est_path, MixtureEstimate(model.weights, model.markov_matrix(4)), 4, 1)
+    lines = open(mix_path).read().splitlines()
+    lines[1] = "weight nan"
+    with open(mix_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert run("eval", "--estimate", est_path, "--mixture", mix_path) == 2
+    assert "mixture weights must be finite" in capsys.readouterr().err
+
+
 def test_eval_swapped_matches_unswapped(tmp_path, capsys):
     model, mix_path = eval_workspace(tmp_path)
     G = model.markov_matrix(4)

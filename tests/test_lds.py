@@ -9,6 +9,7 @@ from ldsmix.lds import (MarkovVector, MixtureModel, NoiseConfig, StateSpace,
                         load_dataset, load_mixture, mixture_m2, mixture_sigma_k,
                         random_mixture, random_stable_system, rollout,
                         sample_mixture, save_dataset, save_mixture, simulate)
+from oracles import dataset_text_loop, generate_dataset_loop, simulate_loop
 
 
 def scalar_system(a, b=1.0, c=1.0):
@@ -142,6 +143,9 @@ def test_mixture_model_validation():
         MixtureModel(np.array([0.6, 0.5]), s)
     with pytest.raises(ValueError):
         MixtureModel(np.array([1.0, 0.0]), s)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MixtureModel(np.array([bad, 0.5]), s)
     hetero = [scalar_system(0.3), random_stable_system(2, 1, 0.5, seed=0)]
     with pytest.raises(ValueError):
         MixtureModel(np.array([0.5, 0.5]), hetero)
@@ -231,6 +235,38 @@ def test_simulate_measurement_noise_is_additive():
     assert np.allclose(noisy - clean, w2, atol=1e-14)
 
 
+def test_simulate_batch_matches_loop():
+    # leading axes are independent trajectories; each must get the bits of a single run
+    rng = np.random.default_rng(89)
+    for n in range(1, 5):
+        for m in range(1, 4):
+            ss = random_stable_system(n, m, 0.8, seed=10 * n + m)
+            u = rng.normal(size=(2, 3, 17, m))
+            w1 = 0.1 * rng.normal(size=(2, 3, 17, m))
+            w2 = 0.1 * rng.normal(size=(2, 3, 17))
+            noisy = simulate(ss, u, w1, w2)
+            clean = simulate(ss, u)
+            assert noisy.shape == clean.shape == (2, 3, 17)
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(noisy[idx], simulate_loop(ss, u[idx], w1[idx], w2[idx]))
+                assert np.array_equal(clean[idx], simulate_loop(ss, u[idx]))
+
+
+def test_generate_dataset_matches_rollout_loop():
+    for K, n, m, N in ((3, 3, 1, 25), (2, 4, 2, 25), (4, 2, 3, 25), (4, 2, 1, 2)):
+        model = random_mixture(K, n, m, 5, seed=K + n + m)
+        noise = NoiseConfig()
+        data = generate_dataset(model, N, 19, noise, seed=3)
+        U, Y, labels = generate_dataset_loop(model, N, 19, noise, seed=3)
+        assert np.array_equal(data.labels, labels)
+        assert np.array_equal(data.inputs, U)
+        assert np.array_equal(data.outputs, Y)
+        # rollout on trajectory 0's stream reproduces trajectory 0
+        u, y = rollout(model.systems[labels[0]], 19, noise, np.random.SeedSequence((3, 2, 1)))
+        assert np.array_equal(u, U[0]) and np.array_equal(y, Y[0])
+    assert len(set(labels)) < K  # the last case leaves a component without trajectories
+
+
 def test_generate_dataset_shapes_and_labels():
     model = two_scalar_mixture()
     data = generate_dataset(model, 7, 11, NoiseConfig(), seed=2)
@@ -310,6 +346,60 @@ def test_dataset_file_unlabeled_round_trip(tmp_path):
     back = load_dataset(path)
     assert back.labels is None
     assert back.inputs.tobytes() == data.inputs.tobytes()
+
+
+def test_save_dataset_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(97)
+    inputs = rng.normal(size=(3, 4, 2)) * np.exp(rng.uniform(-300, 300, size=(3, 4, 2)))
+    outputs = rng.normal(size=(3, 4))
+    inputs[0, 0] = [-0.0, 5e-324]
+    inputs[1, 2] = [1e308, -1e308]
+    outputs[2, 3] = -0.0
+    outputs[0, 1] = 2.2250738585072014e-308
+    path = tmp_path / "d.txt"
+    for labels in (None, np.array([2, 0, 1])):
+        save_dataset(path, TrajectoryDataset(inputs, outputs, labels))
+        assert path.read_bytes() == dataset_text_loop(inputs, outputs, labels).encode()
+
+
+LOAD_BASE = ["mlds-dataset v1, N=2, T=3, m=1, labeled=1",
+             "traj 0 label 1", "1 2", "3 4", "5 6",
+             "traj 1 label 0", "7 8", "9 10", "11 12"]
+
+
+@pytest.mark.parametrize("edits, expected", [
+    # accepted rows give float()'s value; 1-based line 4 is trajectory 0, step 1
+    ({4: "1_0 4"}, (10.0, 4.0)),
+    ({4: "\uff11 4"}, (1.0, 4.0)),
+    ({4: "  3 4   "}, (3.0, 4.0)),
+    ({4: "3e0\t4."}, (3.0, 4.0)),
+    # rejected rows name the first bad line in file order
+    ({4: ""}, "line 4: expected 2 numbers, got 0"),
+    ({4: "# 1"}, "line 4: malformed float in '# 1'"),
+    ({4: "3 4 5"}, "line 4: expected 2 numbers, got 3"),
+    ({4: "0x3 4"}, "line 4: malformed float in '0x3 4'"),
+    ({4: "nan 4"}, "line 4: non-finite value in 'nan 4'"),
+    ({8: "9 -inf", 4: "3 1e999"}, "line 4: non-finite value in '3 1e999'"),
+    ({6: "traj 2 label 0"}, "line 6: expected 'traj 1 label <k|->', got 'traj 2 label 0'"),
+    ({6: "traj 1 label x"}, "line 6: labeled dataset needs an integer label"),
+    ({6: "traj 2 label 0", 4: "3 x"}, "line 4: malformed float in '3 x'"),
+    ({6: "traj 2 label 0", 4: "nan 4"}, "line 6: expected 'traj 1 label <k|->', got 'traj 2 label 0'"),
+    ({9: "11"}, "line 9: expected 2 numbers, got 1"),
+])
+def test_load_dataset_rows_accept_set(tmp_path, edits, expected):
+    lines = list(LOAD_BASE)
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    path = tmp_path / "d.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == expected
+    else:
+        data = load_dataset(path)
+        assert (data.inputs[0, 1, 0], data.outputs[0, 1]) == expected
+        assert data.outputs.tolist() == [[2.0, 4.0, 6.0], [8.0, 10.0, 12.0]]
 
 
 def test_dataset_file_header_content(tmp_path):

@@ -52,6 +52,17 @@ def test_regression_dataset_validation():
         RegressionDataset(X, y, np.array([0, 1]), np.array([2]))  # not covering
     with pytest.raises(ValueError):
         RegressionDataset(X, y, np.arange(4), np.array([], dtype=int))  # empty half
+    for idx_m2, idx_m3 in (([0, 1], [1, 3]),    # duplicate, right count
+                           ([0, 1], [2, 4]),    # out of range
+                           ([-1, 1], [2, 3])):  # negative
+        with pytest.raises(ValueError, match="partition"):
+            RegressionDataset(X, y, np.array(idx_m2), np.array(idx_m3))
+    bad_X = X.copy()
+    bad_X[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        RegressionDataset(bad_X, y, np.array([0, 1]), np.array([2, 3]))
+    with pytest.raises(ValueError, match="finite"):
+        RegressionDataset(X, np.array([0.0, np.inf, 0.0, 0.0]), np.array([0, 1]), np.array([2, 3]))
 
 
 def test_split_halves():

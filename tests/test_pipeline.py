@@ -1,5 +1,6 @@
 """Tests for trajectory stacking, the end-to-end fit, OLS baseline, and realization."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from ldsmix.errors import InsufficientLengthError
 from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset,
-                        generate_dataset, impulse_response, random_stable_system)
+                        generate_dataset, impulse_response, random_mixture,
+                        random_stable_system)
 from ldsmix.mlr import RegressionDataset
 from ldsmix.pipeline import (build_stacked, estimate_text, ho_kalman, load_estimate,
                              mlds_fit, ols_markov, save_estimate, stack_inputs,
@@ -315,6 +317,19 @@ def test_mlds_fit_refined_weights_sum():
     assert refined.weights.sum() == pytest.approx(1.0, abs=1e-12)
     # refinement only reweights; the Markov estimates are untouched
     assert np.allclose(refined.coeffs, plain.coeffs, atol=1e-12)
+
+
+@pytest.mark.parametrize("refine, digest", [
+    (False, "269727b9b252206376d4717e05ae05593919adf0f3d048a0aa935f089f918742"),
+    (True, "0718a11a1eac11eb3dfe477cf306cee56271576a63d845b8de10389fbce460f6"),
+])
+def test_estimate_text_golden(refine, digest):
+    # pins every bit of two seeded fits, so a rewrite of any stage that moves
+    # a last digit shows here; a different BLAS build may move them legitimately
+    model = random_mixture(3, 3, 1, 7, seed=0)
+    data = generate_dataset(model, 200, 96, NoiseConfig(), seed=1)
+    est = mlds_fit(data, L=7, K=3, seed=2, refine=refine)
+    assert hashlib.sha256(estimate_text(est, 7, 1).encode()).hexdigest() == digest
 
 
 def test_estimate_file_round_trip(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from ldsmix.errors import DecompositionError
 from ldsmix.mlr import fit_from_moments
 from ldsmix.tensor3 import apply_matrix3, robust_tpm, symmetrize
-from oracles import contract, op_norm_estimate, outer3, power_update
+from oracles import contract, op_norm_estimate, outer3, power_loop, power_update, robust_tpm_loop
 
 
 def contract_oracle(values, a, b, c):
@@ -88,6 +88,16 @@ def test_tensor_inputs_reject_asymmetric():
         robust_tpm(values, 1)
     with pytest.raises(ValueError, match="asymmetric"):
         fit_from_moments(np.eye(2), values, 1)
+
+
+def test_tensor_inputs_reject_non_finite():
+    for bad in (np.nan, np.inf):
+        values = np.zeros((2, 2, 2))
+        values[1, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            robust_tpm(values, 1)
+        with pytest.raises(ValueError, match="finite"):
+            fit_from_moments(np.eye(2), values, 1)
 
 
 def test_symmetrize_fixes_random_tensor():
@@ -344,3 +354,55 @@ def test_robust_tpm_factor_type():
     lams, vecs = robust_tpm(outer3([0.0, 1.0]), 1, seed=0)
     assert isinstance(lams, np.ndarray) and lams.shape == (1,)
     assert isinstance(vecs, np.ndarray) and vecs.shape == (1, 2)
+
+
+def assert_same_bits_as_loop(t, K, **kw):
+    want = robust_tpm_loop(t, K, **kw)
+    if isinstance(want, int):
+        with pytest.raises(DecompositionError) as exc:
+            robust_tpm(t, K, **kw)
+        assert exc.value.round_index == want
+    else:
+        lams, vecs = robust_tpm(t, K, **kw)
+        assert np.array_equal(lams, want[0]) and np.array_equal(vecs, want[1])
+
+
+def test_robust_tpm_matches_restart_loop():
+    # all restarts of a round run as one array; the result must be bit-identical
+    # to running them one after another, on generic and orthogonal tensors
+    rng = np.random.default_rng(61)
+    for trial in range(20):
+        K = int(rng.integers(1, 6))
+        d = int(rng.integers(K, 11))
+        if trial % 2:
+            t = symmetrize(rng.normal(size=(d, d, d)))
+        else:
+            V = orthonormal(rng, d, K)
+            t = symmetrize(sum(p * outer3(V[:, k]) for k, p in enumerate(rng.uniform(0.1, 1.0, K))))
+        restarts = None if trial % 5 == 0 else int(rng.integers(1, 30))
+        assert_same_bits_as_loop(t, K, n_restarts=restarts, n_iters=40, seed=trial)
+
+
+def collapsed_restarts(t, n_restarts, seed=0):
+    d = t.shape[0]
+    count = 0
+    for r in range(n_restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 1, r + 1)))
+        u = rng.normal(size=d)
+        count += power_loop(t.reshape(d, -1), u / np.linalg.norm(u), 100)[1]
+    return count
+
+
+def test_robust_tpm_collapsed_restarts_match_restart_loop():
+    # at scale 1e-161 the squared norm of some restarts' updates underflows to zero,
+    # so those restarts collapse and the rest carry the round
+    t = 1e-161 * outer3([1.0, 0.0])
+    assert 0 < collapsed_restarts(t, 40) < 40
+    assert_same_bits_as_loop(t, 1, n_restarts=40)
+    # at 1e-162 every restart of round 0 collapses; an exact rank-1 tensor
+    # deflates to zero, so every restart of round 1 collapses
+    t = 1e-162 * outer3([1.0, 0.0])
+    assert collapsed_restarts(t, 40) == 40
+    assert_same_bits_as_loop(t, 1, n_restarts=40)
+    assert robust_tpm_loop(outer3([1.0, 0.0]), 2) == 1
+    assert_same_bits_as_loop(outer3([1.0, 0.0]), 2)
