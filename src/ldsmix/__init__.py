@@ -11,11 +11,10 @@ from .errors import DecompositionError, DegenerateMixtureError, InsufficientLeng
 from .evaluate import (MatchResult, SweepConfig, SweepRecord, aggregate,
                        baseline_error, load_records_csv, match_components,
                        run_sweep, write_levels, write_records_csv, write_series)
-from .lds import (MarkovVector, MixtureModel, NoiseConfig, StateSpace,
-                  TrajectoryDataset, generate_dataset, impulse_response,
-                  load_dataset, load_mixture, mixture_m2, mixture_sigma_k,
-                  random_mixture, random_stable_system, rollout, sample_mixture,
-                  save_dataset, save_mixture, simulate)
+from .lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset,
+                  generate_dataset, impulse_response, load_dataset, load_mixture,
+                  mixture_m2, mixture_sigma_k, random_mixture, random_stable_system,
+                  rollout, sample_mixture, save_dataset, save_mixture, simulate)
 from .mlr import (MixtureEstimate, RegressionDataset, WhiteningMatrix,
                   estimate_m2, estimate_whitened_m3, fit_from_moments, mlr_fit,
                   refine_first_moment, whitening_from_m2)
@@ -32,11 +31,10 @@ __all__ = [
     "MatchResult", "SweepConfig", "SweepRecord", "aggregate", "baseline_error",
     "load_records_csv", "match_components", "run_sweep", "write_levels",
     "write_records_csv", "write_series",
-    "MarkovVector", "MixtureModel", "NoiseConfig", "StateSpace",
-    "TrajectoryDataset", "generate_dataset", "impulse_response", "load_dataset",
-    "load_mixture", "mixture_m2", "mixture_sigma_k", "random_mixture",
-    "random_stable_system", "rollout", "sample_mixture", "save_dataset",
-    "save_mixture", "simulate",
+    "MixtureModel", "NoiseConfig", "StateSpace", "TrajectoryDataset",
+    "generate_dataset", "impulse_response", "load_dataset", "load_mixture",
+    "mixture_m2", "mixture_sigma_k", "random_mixture", "random_stable_system",
+    "rollout", "sample_mixture", "save_dataset", "save_mixture", "simulate",
     "MixtureEstimate", "RegressionDataset", "WhiteningMatrix", "estimate_m2",
     "estimate_whitened_m3", "fit_from_moments", "mlr_fit",
     "refine_first_moment", "whitening_from_m2",

@@ -8,10 +8,10 @@ import sys
 
 from .errors import DecompositionError, DegenerateMixtureError
 from .evaluate import SweepConfig, match_components, run_sweep, write_levels, write_records_csv, write_series
-from .lds import (MarkovVector, NoiseConfig, generate_dataset, load_dataset, load_mixture,
-                  mixture_sigma_k, random_mixture, save_dataset, save_mixture)
+from .lds import (NoiseConfig, generate_dataset, load_dataset, load_mixture, mixture_sigma_k,
+                  random_mixture, save_dataset, save_mixture)
 from .pipeline import estimate_text, ho_kalman, load_estimate, mlds_fit
-from .util import atomic_write_text, fmt
+from .util import atomic_write_text, format_rows
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -201,18 +201,13 @@ def cmd_fit(args) -> int:
     if args.ho_kalman is not None:
         extra = []
         for k in range(est.K):
-            g = MarkovVector(args.L, data.m, est.coeffs[k])
             try:
-                ss = ho_kalman(g, args.ho_kalman)
+                ss = ho_kalman(est.coeffs[k].reshape(args.L, data.m), args.ho_kalman)
             except ValueError as exc:
                 extra.append(f"realization {k} failed: {exc}")
                 continue
-            extra.append(f"realization {k} order {args.ho_kalman}")
-            for row in ss.A:
-                extra.append(" ".join(fmt(v) for v in row))
-            for row in ss.B:
-                extra.append(" ".join(fmt(v) for v in row))
-            extra.append(" ".join(fmt(v) for v in ss.C))
+            extra += [f"realization {k} order {args.ho_kalman}",
+                      format_rows(ss.A), format_rows(ss.B), format_rows(ss.C)]
         text += "\n".join(extra) + "\n"
     atomic_write_text(args.out, text)
     for note in est.warnings:

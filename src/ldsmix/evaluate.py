@@ -60,11 +60,14 @@ def baseline_error(dataset: TrajectoryDataset, truth: MixtureModel, L: int) -> f
     """Mean over labeled trajectories of ||g_label - per-trajectory OLS estimate||."""
     if dataset.labels is None:
         raise ValueError("baseline_error needs a labeled dataset")
+    bad = np.flatnonzero((dataset.labels < 0) | (dataset.labels >= truth.K))
+    if bad.size:
+        raise ValueError(f"trajectory {bad[0]} has label {dataset.labels[bad[0]]} outside range({truth.K})")
     G = truth.markov_matrix(L)
     total = 0.0
     for i in range(dataset.N):
         g_hat = ols_markov(dataset.inputs[i], dataset.outputs[i], L)
-        total += float(np.linalg.norm(G[dataset.labels[i]] - g_hat.values))
+        total += float(np.linalg.norm(G[dataset.labels[i]] - g_hat.ravel()))
     return total / dataset.N
 
 
@@ -176,9 +179,10 @@ def load_records_csv(path):
         toks = line.split(",")
         if len(toks) != 10:
             raise ValueError(f"line {i}: expected 10 fields, got {len(toks)}")
-        records.append(SweepRecord(int(toks[0]), int(toks[1]), int(toks[2]), int(toks[3]),
-                                   int(toks[4]), toks[5], float(toks[6]), float(toks[7]),
-                                   float(toks[8]), toks[9]))
+        try:
+            records.append(SweepRecord(*map(int, toks[:5]), toks[5], *map(float, toks[6:9]), toks[9]))
+        except ValueError as exc:
+            raise ValueError(f"line {i}: {exc}") from None
     return records
 
 

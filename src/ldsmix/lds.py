@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMixtureError
-from .util import FLOAT_FORMAT, atomic_write_text, fmt, parse_floats, parse_header, parse_weight
+from .util import atomic_write_text, fmt, format_rows, parse_rows, parse_weight, read_text
 
 
 def _spectral_radius(A) -> float:
@@ -51,28 +51,6 @@ class StateSpace:
     @property
     def radius(self) -> float:
         return _spectral_radius(self.A)
-
-
-@dataclass
-class MarkovVector:
-    """The first L impulse-response blocks g(1), ..., g(L) stacked into length L*m."""
-
-    L: int
-    m: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(-1)
-        if self.L < 1 or self.m < 1:
-            raise ValueError("L and m must be >= 1")
-        if self.values.shape[0] != self.L * self.m:
-            raise ValueError(f"expected {self.L * self.m} entries, got {self.values.shape[0]}")
-
-    def block(self, t: int) -> np.ndarray:
-        """g(t) for 1 <= t <= L."""
-        if not 1 <= t <= self.L:
-            raise ValueError(f"t must be in [1, {self.L}]")
-        return self.values[(t - 1) * self.m : t * self.m]
 
 
 @dataclass(frozen=True)
@@ -124,7 +102,7 @@ class MixtureModel:
 
     def markov_matrix(self, L: int) -> np.ndarray:
         """Row k is the horizon-L Markov vector of component k, shape (K, L*m)."""
-        return np.stack([impulse_response(s, L).values for s in self.systems])
+        return np.stack([impulse_response(s, L).ravel() for s in self.systems])
 
 
 @dataclass
@@ -186,15 +164,14 @@ def random_stable_system(n: int, m: int, target_radius: float, seed=0) -> StateS
     return StateSpace(A, B, C)
 
 
-def impulse_response(ss: StateSpace, L: int) -> MarkovVector:
-    """Markov parameters g(t) = C A^(t-1) B for t = 1..L, stacked."""
+def impulse_response(ss: StateSpace, L: int) -> np.ndarray:
+    """Markov parameters as an (L, m) array whose row t-1 is g(t) = C A^(t-1) B, t = 1..L."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    m = ss.input_dim
-    vals = np.empty(L * m)
+    g = np.empty((L, ss.input_dim))
     for t in range(1, L + 1):
-        vals[(t - 1) * m : t * m] = ss.C @ np.linalg.matrix_power(ss.A, t - 1) @ ss.B
-    return MarkovVector(L, m, vals)
+        g[t - 1] = ss.C @ np.linalg.matrix_power(ss.A, t - 1) @ ss.B
+    return g
 
 
 def simulate(ss: StateSpace, inputs, process_noise=None, measurement_noise=None) -> np.ndarray:
@@ -319,20 +296,16 @@ def random_mixture(K: int, n: int, m: int, L: int, radius_range=(0.6, 0.9), weig
 def save_dataset(path, ds: TrajectoryDataset) -> None:
     """Write the mlds-dataset v1 text format (17 significant digits, atomic)."""
     labeled = 1 if ds.labels is not None else 0
+    labs = ds.labels.tolist() if labeled else ["-"] * ds.N
     rows = np.concatenate([ds.inputs, ds.outputs[:, :, None]], axis=2)
-    # one '%' per trajectory fills a T-row template, in the same format as fmt
-    block = "\n".join([" ".join([FLOAT_FORMAT] * (ds.m + 1))] * ds.T)
     parts = [f"mlds-dataset v1, N={ds.N}, T={ds.T}, m={ds.m}, labeled={labeled}"]
-    for i in range(ds.N):
-        lab = str(int(ds.labels[i])) if labeled else "-"
-        parts.append(f"traj {i} label {lab}\n" + block % tuple(rows[i].ravel().tolist()))
+    parts += [f"traj {i} label {lab}\n" + format_rows(r) for i, (lab, r) in enumerate(zip(labs, rows))]
     atomic_write_text(path, "\n".join(parts) + "\n")
 
 
-def _parse_rows(rows, m: int, T: int) -> np.ndarray:
-    # rows[j] is numeric row t = j % T of trajectory j // T, at file line 3 + (j // T) * (T + 1) + j % T
-    return np.array([parse_floats(row, m + 1, 3 + (j // T) * (T + 1) + j % T)
-                     for j, row in enumerate(rows)]).reshape(-1, m + 1)
+def _parse_body(rows, m: int, T: int) -> np.ndarray:
+    # trajectory i's T numeric rows are rows[i*T:(i+1)*T], from file line 3 + i * (T + 1)
+    return np.array([parse_rows(rows[j:j + T], m + 1, 3 + j // T * (T + 1)) for j in range(0, len(rows), T)])
 
 
 def load_dataset(path) -> TrajectoryDataset:
@@ -343,14 +316,8 @@ def load_dataset(path) -> TrajectoryDataset:
     blank rows, so when it fails or returns another shape the rows are parsed
     again one by one, which gives float()'s values or the first bad line.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("line 1: empty file")
-    head = parse_header(lines[0], "mlds-dataset", ("N", "T", "m", "labeled"))
-    N, T, m, labeled = head["N"], head["T"], head["m"], head["labeled"]
-    if N < 1 or T < 1 or m < 1 or labeled not in (0, 1):
-        raise ValueError("line 1: header values out of range")
+    lines, (N, T, m, labeled) = read_text(path, "mlds-dataset", ("N", "T", "m", "labeled"),
+                                          flags=("labeled",))
     expected = 1 + N * (T + 1)
     if len(lines) != expected:
         raise ValueError(f"expected {expected} lines for N={N}, T={T}, got {len(lines)}")
@@ -360,7 +327,7 @@ def load_dataset(path) -> TrajectoryDataset:
     labels = np.empty(N, dtype=int) if labeled else None
 
     def fail(message):
-        _parse_rows(body[:i * T], m, T)  # a bad numeric row above trajectory i's line is reported first
+        _parse_body(body[:i * T], m, T)  # a bad numeric row above trajectory i's line is reported first
         raise ValueError(f"line {2 + i * (T + 1)}: {message}") from None
 
     for i, line in enumerate(heads):
@@ -381,7 +348,7 @@ def load_dataset(path) -> TrajectoryDataset:
     except ValueError:
         rows = None
     if rows is None or rows.shape != (N * T, m + 1):
-        rows = _parse_rows(body, m, T)
+        rows = _parse_body(body, m, T)
     rows = rows.reshape(N, T, m + 1)
     U = np.ascontiguousarray(rows[:, :, :m])
     Y = np.ascontiguousarray(rows[:, :, m])
@@ -395,43 +362,23 @@ def load_dataset(path) -> TrajectoryDataset:
 
 def save_mixture(path, model: MixtureModel) -> None:
     """Write the mlds-mixture v1 text format (17 significant digits, atomic)."""
-    n, m = model.order, model.input_dim
-    lines = [f"mlds-mixture v1, K={model.K}, n={n}, m={m}"]
+    lines = [f"mlds-mixture v1, K={model.K}, n={model.order}, m={model.input_dim}"]
     for p, s in zip(model.weights, model.systems):
-        lines.append(f"weight {fmt(p)}")
-        for row in s.A:
-            lines.append(" ".join(fmt(v) for v in row))
-        for row in s.B:
-            lines.append(" ".join(fmt(v) for v in row))
-        lines.append(" ".join(fmt(v) for v in s.C))
+        lines += [f"weight {fmt(p)}", format_rows(s.A), format_rows(s.B), format_rows(s.C)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_mixture(path) -> MixtureModel:
     """Read the mlds-mixture v1 text format; components are validated on load."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("line 1: empty file")
-    head = parse_header(lines[0], "mlds-mixture", ("K", "n", "m"))
-    K, n, m = head["K"], head["n"], head["m"]
-    if K < 1 or n < 1 or m < 1:
-        raise ValueError("line 1: header values out of range")
-    per_comp = 1 + 2 * n + 1
-    expected = 1 + K * per_comp
+    lines, (K, n, m) = read_text(path, "mlds-mixture", ("K", "n", "m"))
+    expected = 1 + K * (2 * n + 2)
     if len(lines) != expected:
         raise ValueError(f"expected {expected} lines for K={K}, n={n}, got {len(lines)}")
-    weights = np.empty(K)
-    systems = []
-    pos = 1
-    for k in range(K):
-        weights[k] = parse_weight(lines[pos], pos + 1)
-        pos += 1
-        A = np.stack([parse_floats(lines[pos + r], n, pos + r + 1) for r in range(n)])
-        pos += n
-        B = np.stack([parse_floats(lines[pos + r], m, pos + r + 1) for r in range(n)])
-        pos += n
-        C = parse_floats(lines[pos], n, pos + 1)
-        pos += 1
+    weights, systems = [], []
+    for pos in range(1, expected, 2 * n + 2):  # 0-based index of each component's weight line
+        weights.append(parse_weight(lines[pos], pos + 1))
+        A = parse_rows(lines[pos + 1 : pos + 1 + n], n, pos + 2)
+        B = parse_rows(lines[pos + 1 + n : pos + 1 + 2 * n], m, pos + 2 + n)
+        C = parse_rows(lines[pos + 1 + 2 * n : pos + 2 + 2 * n], n, pos + 2 + 2 * n)
         systems.append(StateSpace(A, B, C))
     return MixtureModel(weights, systems)

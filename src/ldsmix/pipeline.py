@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InsufficientLengthError
-from .lds import MarkovVector, StateSpace, TrajectoryDataset
+from .lds import StateSpace, TrajectoryDataset
 from .mlr import MixtureEstimate, RegressionDataset, mlr_fit, refine_first_moment
-from .util import atomic_write_text, fmt, parse_floats, parse_header, parse_weight
+from .util import atomic_write_text, fmt, format_rows, parse_rows, parse_weight, read_text
 
 
 def stack_times(T: int, L: int) -> np.ndarray:
@@ -92,9 +92,10 @@ def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0, p
     return replace(est, coeffs=est.coeffs / sigma_u)
 
 
-def ols_markov(inputs, outputs, L: int) -> MarkovVector:
+def ols_markov(inputs, outputs, L: int) -> np.ndarray:
     """Per-trajectory least squares over every time t in [L, T] (overlapping windows).
 
+    Returns the (L, m) Markov parameter estimate, row t-1 being g(t).
     With fewer rows than L*m unknowns the problem is rank deficient; a warning
     is emitted and the minimum-norm solution returned.
     """
@@ -103,6 +104,8 @@ def ols_markov(inputs, outputs, L: int) -> MarkovVector:
         inputs = inputs[:, None]
     outputs = np.asarray(outputs, dtype=float).reshape(-1)
     T, m = inputs.shape
+    if L < 1:
+        raise ValueError("L must be >= 1")
     if outputs.shape[0] != T:
         raise ValueError("inputs and outputs must cover the same T steps")
     if T < L:
@@ -114,11 +117,11 @@ def ols_markov(inputs, outputs, L: int) -> MarkovVector:
         _warnings.warn("ols_markov: fewer rows than unknowns; returning the minimum-norm solution",
                        RuntimeWarning, stacklevel=2)
     g, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return MarkovVector(L, m, g)
+    return g.reshape(L, m)
 
 
-def ho_kalman(g: MarkovVector, n: int) -> StateSpace:
-    """Balanced realization of order n from the first L Markov parameters.
+def ho_kalman(g, n: int) -> StateSpace:
+    """Balanced realization of order n from the (L, m) Markov parameters g, row t-1 being g(t).
 
     Layout: the Hankel has blocks H[i, j] = g(i + j + 1) for 0-based (i, j)
     with n1 = n2 = floor(L/2), so it starts at g(1) and the shifted Hankel at
@@ -127,18 +130,18 @@ def ho_kalman(g: MarkovVector, n: int) -> StateSpace:
     is computed at rank r and zero-padded to order n, which keeps it stable
     and exact instead of amplifying null directions through pseudo-inverses.
     """
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2:
+        raise ValueError(f"g must be an (L, m) array, got shape {g.shape}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    L, m = g.L, g.m
+    L, m = g.shape
     if L < 2 * n + 1:
         raise InsufficientLengthError(f"need L >= 2n+1 = {2 * n + 1} Markov parameters for order n={n}, got L={L}")
     n1 = L // 2
-    H = np.empty((n1, n1 * m))
-    Hs = np.empty((n1, n1 * m))
-    for i in range(n1):
-        for j in range(n1):
-            H[i, j * m : (j + 1) * m] = g.block(i + j + 1)
-            Hs[i, j * m : (j + 1) * m] = g.block(i + j + 2)
+    blocks = np.add.outer(np.arange(n1), np.arange(n1))  # 0-based row of g(i + j + 1)
+    H = g[blocks].reshape(n1, n1 * m)
+    Hs = g[blocks + 1].reshape(n1, n1 * m)
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
     if s.shape[0] > n and s[n] > 0.1 * s[n - 1]:
         _warnings.warn(f"ho_kalman: sigma_{n + 1} = {s[n]:.3e} exceeds 0.1 * sigma_{n} = {0.1 * s[n - 1]:.3e}; "
@@ -167,10 +170,7 @@ def estimate_text(est: MixtureEstimate, L: int, m: int) -> str:
         raise ValueError(f"coefficient length {est.dim} does not match L*m = {L * m}")
     lines = [f"mlds-estimate v1, K={est.K}, L={L}, m={m}"]
     for k in range(est.K):
-        lines.append(f"weight {fmt(est.weights[k])}")
-        vec = est.coeffs[k]
-        for t in range(L):
-            lines.append(" ".join(fmt(v) for v in vec[t * m : (t + 1) * m]))
+        lines += [f"weight {fmt(est.weights[k])}", format_rows(est.coeffs[k].reshape(L, m))]
     return "\n".join(lines) + "\n"
 
 
@@ -184,24 +184,12 @@ def load_estimate(path):
 
     Lines after the K components (e.g. appended realizations) are ignored.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("line 1: empty file")
-    head = parse_header(lines[0], "mlds-estimate", ("K", "L", "m"))
-    K, L, m = head["K"], head["L"], head["m"]
-    if K < 1 or L < 1 or m < 1:
-        raise ValueError("line 1: header values out of range")
+    lines, (K, L, m) = read_text(path, "mlds-estimate", ("K", "L", "m"))
     needed = 1 + K * (1 + L)
     if len(lines) < needed:
         raise ValueError(f"expected at least {needed} lines for K={K}, L={L}, got {len(lines)}")
-    weights = np.empty(K)
-    coeffs = np.empty((K, L * m))
-    pos = 1
-    for k in range(K):
-        weights[k] = parse_weight(lines[pos], pos + 1)
-        pos += 1
-        for t in range(L):
-            coeffs[k, t * m : (t + 1) * m] = parse_floats(lines[pos], m, pos + 1)
-            pos += 1
+    weights, coeffs = [], []
+    for pos in range(1, needed, 1 + L):  # 0-based index of each component's weight line
+        weights.append(parse_weight(lines[pos], pos + 1))
+        coeffs.append(parse_rows(lines[pos + 1 : pos + 1 + L], m, pos + 2).ravel())
     return MixtureEstimate(weights, coeffs), L, m

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface via main(argv)."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -115,6 +116,21 @@ def test_fit_ho_kalman_appends_realizations(tmp_path):
     # the estimate block still parses; realization lines are trailing extras
     est, L, m = load_estimate(out)
     assert est.K == 3
+
+
+def test_fit_ho_kalman_estimate_golden(tmp_path):
+    # pins every byte of a refined m=2 estimate file with its realization
+    # appendix (one realization fails, two are written); a different BLAS
+    # build may move the digits legitimately
+    prefix = str(tmp_path / "w")
+    assert run("simulate", "--N", "300", "--T", "48", "--m", "2", "--seed", "3", "--out", prefix) == 0
+    out = tmp_path / "est.txt"
+    assert run("fit", "--data", prefix + ".dataset.txt", "--out", str(out), "--refine",
+               "--ho-kalman", "3", "--seed", "4") == 0
+    text = out.read_text()
+    assert text.count("realization") == 3 and "realization 1 failed" in text
+    digest = "3716845f65e290b0b9cbf65b1a5579eaf7a1327834d506b5c499faf668c9c483"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_fit_ho_kalman_horizon_check(tmp_path):

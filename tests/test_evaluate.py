@@ -129,7 +129,7 @@ def test_baseline_error_matches_direct_oracle():
     G = model.markov_matrix(L)
     total = 0.0
     for i in range(ds.N):
-        g_hat = ols_markov(ds.inputs[i], ds.outputs[i], L).values
+        g_hat = ols_markov(ds.inputs[i], ds.outputs[i], L).ravel()
         total += np.linalg.norm(G[ds.labels[i]] - g_hat)
     assert baseline_error(ds, model, L) == pytest.approx(total / ds.N, abs=1e-12)
 
@@ -139,6 +139,19 @@ def test_baseline_error_requires_labels():
     ds = TrajectoryDataset(np.zeros((2, 10, 1)), np.zeros((2, 10)), None)
     with pytest.raises(ValueError, match="label"):
         baseline_error(ds, model, 3)
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_baseline_error_rejects_out_of_range_labels(bad):
+    # a label of -1 would silently score against the last component
+    model = scalar_mixture([0.6, -0.3], [0.5, 0.5])
+    ds = generate_dataset(model, 4, 30, seed=4)
+    labels = ds.labels.copy()
+    labels[2] = bad
+    ds = TrajectoryDataset(ds.inputs, ds.outputs, labels)
+    with pytest.raises(ValueError) as exc:
+        baseline_error(ds, model, 3)
+    assert str(exc.value) == f"trajectory 2 has label {bad} outside range(2)"
 
 
 def tiny_config(**kw):
@@ -237,6 +250,19 @@ def test_csv_rejects_corruption(tmp_path):
     path.write_text(CSV_HEADER + "\n1,2,3\n")
     with pytest.raises(ValueError, match="line 2"):
         load_records_csv(path)
+
+
+def test_csv_malformed_field_names_the_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    good = "100,96,3,7,0,tensor,0.25,0.125,40,ok"
+    path.write_text(f"{CSV_HEADER}\n{good}\n100,96,3,7,x,tensor,0.25,0.125,40,ok\n")
+    with pytest.raises(ValueError) as exc:
+        load_records_csv(path)
+    assert str(exc.value) == "line 3: invalid literal for int() with base 10: 'x'"
+    path.write_text(f"{CSV_HEADER}\n100,96,3,7,0,tensor,0.25,half,40,ok\n")
+    with pytest.raises(ValueError) as exc:
+        load_records_csv(path)
+    assert str(exc.value) == "line 2: could not convert string to float: 'half'"
 
 
 def test_sweep_csv_determinism(tmp_path):

@@ -145,7 +145,7 @@ def test_mlds_fit_fir_single_component():
     # bound and the strict 0.05 check runs at a sample count that supports it
     ss = fir_system()
     model = MixtureModel(np.array([1.0]), [ss])
-    g_true = impulse_response(ss, 3).values
+    g_true = impulse_response(ss, 3).ravel()
     ds = generate_dataset(model, 200, 30, noiseless(), seed=1)
     est = mlds_fit(ds, L=3, K=1, seed=0)
     assert np.linalg.norm(est.coeffs[0] - g_true) < 0.5
@@ -155,7 +155,7 @@ def test_mlds_fit_fir_single_component():
 def test_mlds_fit_fir_large_sample_accuracy():
     ss = fir_system()
     model = MixtureModel(np.array([1.0]), [ss])
-    g_true = impulse_response(ss, 3).values
+    g_true = impulse_response(ss, 3).ravel()
     ds = generate_dataset(model, 6400, 120, noiseless(), seed=0)
     est = mlds_fit(ds, L=3, K=1, seed=0)
     assert np.linalg.norm(est.coeffs[0] - g_true) < 0.05
@@ -208,14 +208,14 @@ def test_ols_markov_noiseless_exact():
     fir = fir_system()
     ds_fir = generate_dataset(MixtureModel(np.array([1.0]), [fir]), 1, 40, noiseless(), seed=8)
     g_fir = ols_markov(ds_fir.inputs[0], ds_fir.outputs[0], 4)
-    assert np.allclose(g_fir.values, impulse_response(fir, 4).values, atol=1e-8)
-    assert g.values.shape == (4,)
+    assert np.allclose(g_fir, impulse_response(fir, 4), atol=1e-8)
+    assert g.shape == (4, 1)
 
 
 def test_ols_markov_zero_outputs():
     rng = np.random.default_rng(9)
     g = ols_markov(rng.normal(size=(30, 1)), np.zeros(30), 3)
-    assert np.allclose(g.values, 0.0, atol=1e-12)
+    assert np.allclose(g, 0.0, atol=1e-12)
 
 
 def test_ols_markov_small_noise_accuracy():
@@ -225,7 +225,7 @@ def test_ols_markov_small_noise_accuracy():
         model = MixtureModel(np.array([1.0]), [ss])
         ds = generate_dataset(model, 1, 960, seed=seed)
         g = ols_markov(ds.inputs[0], ds.outputs[0], 7)
-        errs.append(np.linalg.norm(g.values - impulse_response(ss, 7).values))
+        errs.append(np.linalg.norm(g - impulse_response(ss, 7)))
     assert np.mean(errs) < 0.1
 
 
@@ -233,7 +233,7 @@ def test_ols_markov_rank_deficient_warns():
     rng = np.random.default_rng(10)
     with pytest.warns(RuntimeWarning, match="minimum-norm"):
         g = ols_markov(rng.normal(size=(6, 1)), rng.normal(size=6), 5)
-    assert g.values.shape == (5,)
+    assert g.shape == (5, 1)
 
 
 def test_ols_markov_too_short():
@@ -241,13 +241,19 @@ def test_ols_markov_too_short():
         ols_markov(np.zeros((3, 1)), np.zeros(3), 4)
 
 
+@pytest.mark.parametrize("L", [0, -1])
+def test_ols_markov_rejects_nonpositive_horizon(L):
+    with pytest.raises(ValueError, match="L must be >= 1"):
+        ols_markov(np.zeros((5, 1)), np.zeros(5), L)
+
+
 def test_ho_kalman_scalar_geometric():
     g = impulse_response(StateSpace([[0.5]], [[1.0]], [1.0]), 5)
-    assert np.allclose(g.values, [1.0, 0.5, 0.25, 0.125, 0.0625], atol=0)
+    assert np.allclose(g.ravel(), [1.0, 0.5, 0.25, 0.125, 0.0625], atol=0)
     ss = ho_kalman(g, 1)
     assert ss.A[0, 0] == pytest.approx(0.5, abs=1e-10)
     assert (ss.C @ ss.B)[0] == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(impulse_response(ss, 5).values, g.values, atol=1e-10)
+    assert np.allclose(impulse_response(ss, 5), g, atol=1e-10)
 
 
 def test_ho_kalman_round_trip_order3():
@@ -255,7 +261,7 @@ def test_ho_kalman_round_trip_order3():
         ss = random_stable_system(3, 1, 0.8, seed=20 + seed)
         g = impulse_response(ss, 7)
         hat = ho_kalman(g, 3)
-        assert np.allclose(impulse_response(hat, 7).values, g.values, atol=1e-8), f"seed {seed}"
+        assert np.allclose(impulse_response(hat, 7), g, atol=1e-8), f"seed {seed}"
 
 
 def test_ho_kalman_multi_input_round_trip():
@@ -263,7 +269,7 @@ def test_ho_kalman_multi_input_round_trip():
         ss = random_stable_system(2, 2, 0.7, seed=40 + seed)
         g = impulse_response(ss, 5)
         hat = ho_kalman(g, 2)
-        assert np.allclose(impulse_response(hat, 5).values, g.values, atol=1e-8)
+        assert np.allclose(impulse_response(hat, 5), g, atol=1e-8)
 
 
 def test_ho_kalman_overparameterized_order():
@@ -272,7 +278,7 @@ def test_ho_kalman_overparameterized_order():
     with pytest.warns(RuntimeWarning, match="rank"):
         ss = ho_kalman(g, 3)
     assert ss.A.shape == (3, 3)
-    assert np.allclose(impulse_response(ss, 7).values, g.values, atol=1e-8)
+    assert np.allclose(impulse_response(ss, 7), g, atol=1e-8)
 
 
 def test_ho_kalman_order_mismatch_warning():
@@ -291,6 +297,13 @@ def test_ho_kalman_insufficient_horizon():
         ho_kalman(g, 3)  # needs L >= 7
 
 
+def test_ho_kalman_rejects_non_matrix_markov_parameters():
+    g = impulse_response(random_stable_system(3, 1, 0.7, seed=61), 7)
+    for bad in (g.ravel(), g[None], g[0, 0]):
+        with pytest.raises(ValueError, match="must be an \\(L, m\\) array"):
+            ho_kalman(bad, 3)
+
+
 def test_ho_kalman_similarity_invariance():
     # similarity-transformed systems share Markov parameters; realizations
     # from either reproduce them even though (A, B, C) differ
@@ -301,11 +314,10 @@ def test_ho_kalman_similarity_invariance():
     ss2 = StateSpace(P @ ss.A @ Pinv, P @ ss.B, Pinv.T @ ss.C)
     g1 = impulse_response(ss, 7)
     g2 = impulse_response(ss2, 7)
-    assert np.allclose(g1.values, g2.values, atol=1e-8)
+    assert np.allclose(g1, g2, atol=1e-8)
     hat1 = ho_kalman(g1, 3)
     hat2 = ho_kalman(g2, 3)
-    assert np.allclose(impulse_response(hat1, 7).values,
-                       impulse_response(hat2, 7).values, atol=1e-8)
+    assert np.allclose(impulse_response(hat1, 7), impulse_response(hat2, 7), atol=1e-8)
 
 
 def test_mlds_fit_refined_weights_sum():

@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from ldsmix.util import atomic_write_text, derive_seed, fmt, parse_floats, parse_header, parse_weight
+from ldsmix.util import (atomic_write_text, derive_seed, fmt, format_rows, parse_header, parse_rows,
+                         parse_weight, read_text)
 
 
 def test_fmt_round_trips_float64():
@@ -63,14 +64,56 @@ def test_parse_header_rejections():
 
 def test_parse_rows_name_the_line():
     assert parse_weight("weight 0.25", 2) == 0.25
-    assert np.array_equal(parse_floats("1 -2.5", 2, 3), [1.0, -2.5])
+    assert np.array_equal(parse_rows(["1 -2.5"], 2, 3), [[1.0, -2.5]])
+    assert np.array_equal(parse_rows(["1 2", " 3\t4 "], 2, 3), [[1.0, 2.0], [3.0, 4.0]])
+    assert parse_rows([], 2, 3).shape == (0, 2)
     cases = [
         (lambda: parse_weight("weigh 0.25", 2), "line 2: expected 'weight <p>', got 'weigh 0.25'"),
         (lambda: parse_weight("weight x", 4), "line 4: malformed weight 'x'"),
-        (lambda: parse_floats("1 2 3", 2, 5), "line 5: expected 2 numbers, got 3"),
-        (lambda: parse_floats("1 two", 2, 6), "line 6: malformed float in '1 two'"),
+        (lambda: parse_rows(["1 2 3"], 2, 5), "line 5: expected 2 numbers, got 3"),
+        (lambda: parse_rows(["1 two"], 2, 6), "line 6: malformed float in '1 two'"),
+        # later rows are numbered from the first; the first bad row wins
+        (lambda: parse_rows(["1 2", "3"], 2, 5), "line 6: expected 2 numbers, got 1"),
+        (lambda: parse_rows(["1 2", "3 4", "x 5", "6"], 2, 7), "line 9: malformed float in 'x 5'"),
+        (lambda: parse_rows(["1 2", ""], 2, 3), "line 4: expected 2 numbers, got 0"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+
+def per_value_rows(a):
+    """The per-value writer that format_rows replaces: fmt joined by spaces, one line per row."""
+    rows = np.atleast_2d(np.asarray(a, dtype=float))
+    return "\n".join(" ".join(fmt(v) for v in row) for row in rows)
+
+
+def test_format_rows_matches_per_value_fmt():
+    tiny_normal = 2.2250738585072014e-308
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(4, 3)) * np.exp(rng.uniform(-300, 300, size=(4, 3)))
+    block[0] = [-0.0, 5e-324, tiny_normal]
+    block[1] = [1e308, -1e308, 1.0 / 3.0]
+    row = np.array([-0.0, 5e-324, -tiny_normal, 1e308, -1e308, 0.1])
+    for a in (block, row, row[:1], block[:, :1], block.T, block[:0]):
+        assert format_rows(a) == per_value_rows(a)
+    assert format_rows(row).count("\n") == 0
+    assert format_rows(block).count("\n") == 3
+    back = parse_rows(format_rows(block).splitlines(), 3, 1)
+    assert back.tobytes() == block.tobytes()
+
+
+def test_read_text_header_checks(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("demo v1, K=2, b=0\n1 2\n")
+    lines, vals = read_text(path, "demo", ("K", "b"), flags=("b",))
+    assert lines == ["demo v1, K=2, b=0", "1 2"] and vals == (2, 0)
+    for text, message in [("", "line 1: empty file"),
+                          ("demo v1, K=0, b=0\n", "line 1: header values out of range"),
+                          ("demo v1, K=1, b=2\n", "line 1: header values out of range"),
+                          ("other v1, K=1, b=0\n", "line 1: expected a 'demo v1' header")]:
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_text(path, "demo", ("K", "b"), flags=("b",))
+        assert str(exc.value).startswith(message)
