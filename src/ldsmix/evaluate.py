@@ -17,6 +17,9 @@ from .util import atomic_write_text, derive_seed
 
 METHODS = ("tensor", "tensor_refine", "baseline")
 CSV_HEADER = "N,T,K,L,seed,method,error,weight_error,wall_ms,status"
+# lag rows per batched ols_markov call in baseline_error; small, because one
+# call over every trajectory raised the study sweep's peak RSS by half
+_OLS_ROW_BUDGET = 4096
 
 
 @dataclass
@@ -35,6 +38,7 @@ def match_components(est: MixtureEstimate, truth: MixtureModel, L: int) -> Match
 
     Weights are reported under the chosen assignment but do not enter the
     matching cost. Ties go to the lexicographically first permutation.
+    Raises ValueError when no permutation has a finite cost.
     """
     K = truth.K
     if est.K != K:
@@ -51,6 +55,8 @@ def match_components(est: MixtureEstimate, truth: MixtureModel, L: int) -> Match
         cost = sum(D[perm[k], k] for k in range(K))
         if cost < best_cost:
             best, best_cost = perm, cost
+    if best is None:
+        raise ValueError("no assignment of estimated to true components has a finite cost")
     errs = np.array([D[best[k], k] for k in range(K)])
     werrs = np.abs(est.weights[list(best)] - truth.weights)
     return MatchResult(best, errs, werrs, float(errs.mean()), float(werrs.mean()))
@@ -64,11 +70,13 @@ def baseline_error(dataset: TrajectoryDataset, truth: MixtureModel, L: int) -> f
     if bad.size:
         raise ValueError(f"trajectory {bad[0]} has label {dataset.labels[bad[0]]} outside range({truth.K})")
     G = truth.markov_matrix(L)
-    total = 0.0
-    for i in range(dataset.N):
-        g_hat = ols_markov(dataset.inputs[i], dataset.outputs[i], L)
-        total += float(np.linalg.norm(G[dataset.labels[i]] - g_hat.ravel()))
-    return total / dataset.N
+    chunk = max(1, _OLS_ROW_BUDGET // max(1, dataset.T - L + 1))
+    errs = np.empty(dataset.N)
+    for lo in range(0, dataset.N, chunk):
+        hi = min(lo + chunk, dataset.N)
+        g_hat = ols_markov(dataset.inputs[lo:hi], dataset.outputs[lo:hi], L)
+        errs[lo:hi] = np.linalg.norm(G[dataset.labels[lo:hi]] - g_hat.reshape(hi - lo, -1), axis=1)
+    return float(errs.sum()) / dataset.N
 
 
 @dataclass

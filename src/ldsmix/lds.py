@@ -36,6 +36,9 @@ class StateSpace:
             raise ValueError(f"B must have {n} rows, got shape {self.B.shape}")
         if self.C.shape[0] != n:
             raise ValueError(f"C must have length {n}, got {self.C.shape[0]}")
+        for name in ("A", "B", "C"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"StateSpace matrix {name} must be finite")
         rho = _spectral_radius(self.A)
         if not rho < 1.0:
             raise ValueError(f"unstable system: spectral radius {rho:.6g} >= 1")
@@ -380,5 +383,8 @@ def load_mixture(path) -> MixtureModel:
         A = parse_rows(lines[pos + 1 : pos + 1 + n], n, pos + 2)
         B = parse_rows(lines[pos + 1 + n : pos + 1 + 2 * n], m, pos + 2 + n)
         C = parse_rows(lines[pos + 1 + 2 * n : pos + 2 + 2 * n], n, pos + 2 + 2 * n)
-        systems.append(StateSpace(A, B, C))
+        try:
+            systems.append(StateSpace(A, B, C))
+        except ValueError as exc:
+            raise ValueError(f"line {pos + 1}: {exc}") from None
     return MixtureModel(weights, systems)

@@ -95,29 +95,49 @@ def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0, p
 def ols_markov(inputs, outputs, L: int) -> np.ndarray:
     """Per-trajectory least squares over every time t in [L, T] (overlapping windows).
 
-    Returns the (L, m) Markov parameter estimate, row t-1 being g(t).
-    With fewer rows than L*m unknowns the problem is rank deficient; a warning
-    is emitted and the minimum-norm solution returned.
+    inputs (T, m) or (T,) with outputs (T,) give the (L, m) Markov parameter
+    estimate, row t-1 being g(t); inputs (..., T, m) with outputs (..., T)
+    fit every trajectory along the leading axes and give (..., L, m). Each
+    trajectory is solved by QR. A rank-deficient one (fewer rows than L*m
+    unknowns, or an R diagonal at or below lstsq's cutoff) gets lstsq's
+    minimum-norm solution instead, with one warning per call.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]
-    outputs = np.asarray(outputs, dtype=float).reshape(-1)
-    T, m = inputs.shape
+    outputs = np.asarray(outputs, dtype=float)
+    if inputs.ndim == 2:
+        outputs = outputs.reshape(-1)
+    *lead, T, m = inputs.shape
     if L < 1:
         raise ValueError("L must be >= 1")
-    if outputs.shape[0] != T:
+    if outputs.shape != inputs.shape[:-1]:
         raise ValueError("inputs and outputs must cover the same T steps")
     if T < L:
         raise InsufficientLengthError(f"trajectory length T={T} is shorter than the horizon L={L}")
     times = np.arange(L, T + 1)
-    A = _lag_rows(inputs, L, times)
-    b = outputs[times - 1]
-    if times.shape[0] < L * m:
+    rows, dim = times.shape[0], L * m
+    A = _lag_rows(inputs, L, times).reshape(-1, rows, dim)
+    b = outputs[..., times - 1].reshape(-1, rows, 1)
+    if rows < dim:
         _warnings.warn("ols_markov: fewer rows than unknowns; returning the minimum-norm solution",
                        RuntimeWarning, stacklevel=2)
-    g, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return g.reshape(L, m)
+        g = np.empty((A.shape[0], dim, 1))
+        deficient = np.arange(A.shape[0])
+    else:
+        Q, R = np.linalg.qr(A)
+        diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+        # lstsq's rank cutoff eps * max(rows, dim) * s_max, read on R's diagonal
+        cutoff = np.finfo(float).eps * rows * diag.max(axis=-1)
+        deficient = np.flatnonzero((diag <= cutoff[:, None]).any(axis=-1))
+        if deficient.size:
+            _warnings.warn(f"ols_markov: {deficient.size} of {A.shape[0]} trajectories have rank-deficient "
+                           "lag rows; returning the minimum-norm solution for them", RuntimeWarning, stacklevel=2)
+            R[deficient] = np.eye(dim)  # solved by lstsq below
+        g = np.linalg.solve(R, Q.transpose(0, 2, 1) @ b)
+    for i in deficient:
+        g[i], *_ = np.linalg.lstsq(A[i], b[i], rcond=None)
+    return g.reshape(*lead, L, m)
 
 
 def ho_kalman(g, n: int) -> StateSpace:

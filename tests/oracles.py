@@ -129,3 +129,26 @@ def dataset_text_loop(inputs, outputs, labels=None) -> str:
         for t in range(T):
             lines.append(" ".join(f"{float(v):.17g}" for v in [*inputs[i, t], outputs[i, t]]))
     return "\n".join(lines) + "\n"
+
+
+def ols_markov_lstsq(inputs, outputs, L) -> np.ndarray:
+    """One trajectory's least squares over every time t in [L, T] by np.linalg.lstsq; returns (L, m)."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim == 1:
+        inputs = inputs[:, None]
+    outputs = np.asarray(outputs, dtype=float).reshape(-1)
+    T, m = inputs.shape
+    times = np.arange(L, T + 1)
+    A = np.stack([inputs[t - 1 - np.arange(L)].ravel() for t in times])
+    g, *_ = np.linalg.lstsq(A, outputs[times - 1], rcond=None)
+    return g.reshape(L, m)
+
+
+def baseline_error_loop(dataset, truth, L) -> float:
+    """Mean over labeled trajectories of ||g_label - per-trajectory OLS estimate||, one trajectory at a time."""
+    G = truth.markov_matrix(L)
+    total = 0.0
+    for i in range(dataset.N):
+        g_hat = ols_markov_lstsq(dataset.inputs[i], dataset.outputs[i], L)
+        total += float(np.linalg.norm(G[dataset.labels[i]] - g_hat.ravel()))
+    return total / dataset.N

@@ -214,6 +214,31 @@ def test_eval_non_finite_weight_exit_code(tmp_path, capsys):
     assert "mixture weights must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,text,name", [(4, "nan", "C"), (7, "inf", "B")])
+def test_eval_non_finite_system_exit_code(tmp_path, capsys, line, text, name):
+    # lines 2-4 hold A, B, C of the first component, lines 6-8 of the second
+    model, mix_path = eval_workspace(tmp_path)
+    est_path = str(tmp_path / "est.txt")
+    save_estimate(est_path, MixtureEstimate(model.weights, model.markov_matrix(4)), 4, 1)
+    lines = open(mix_path).read().splitlines()
+    lines[line] = text
+    with open(mix_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert run("eval", "--estimate", est_path, "--mixture", mix_path) == 2
+    weight_line = 2 if line < 5 else 6
+    assert f"error: line {weight_line}: StateSpace matrix {name} must be finite" in capsys.readouterr().err
+
+
+def test_eval_overflowing_estimate_exit_code(tmp_path, capsys):
+    # finite coefficients, but every distance to the truth overflows to inf
+    model, mix_path = eval_workspace(tmp_path)
+    est_path = str(tmp_path / "est.txt")
+    save_estimate(est_path, MixtureEstimate(model.weights, np.full((2, 4), 1e308)), 4, 1)
+    with np.errstate(over="ignore"):
+        assert run("eval", "--estimate", est_path, "--mixture", mix_path) == 2
+    assert "has a finite cost" in capsys.readouterr().err
+
+
 def test_eval_swapped_matches_unswapped(tmp_path, capsys):
     model, mix_path = eval_workspace(tmp_path)
     G = model.markov_matrix(4)

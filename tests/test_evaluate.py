@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from ldsmix.evaluate import (CSV_HEADER, MatchResult, SweepConfig, SweepRecord,
+import ldsmix.evaluate
+from ldsmix.evaluate import (_OLS_ROW_BUDGET, CSV_HEADER, MatchResult, SweepConfig, SweepRecord,
                              aggregate, baseline_error, load_records_csv,
                              match_components, run_sweep, write_levels,
                              write_records_csv, write_series)
 from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset,
                         generate_dataset, random_mixture, random_stable_system)
 from ldsmix.mlr import MixtureEstimate
+from oracles import baseline_error_loop
 
 
 def scalar_mixture(values, weights):
@@ -92,6 +94,14 @@ def test_match_weights_do_not_drive_assignment():
     assert np.allclose(mr.weight_errors, 0.8, atol=1e-12)
 
 
+def test_match_components_rejects_infinite_costs():
+    # finite coefficients whose distance to the truth overflows to inf
+    model = scalar_mixture([0.5, -0.4, 0.2], np.full(3, 1.0 / 3.0))
+    est = MixtureEstimate(np.full(3, 1.0 / 3.0), np.full((3, 7), 1e308))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="no assignment .* has a finite cost"):
+        match_components(est, model, 7)
+
+
 def test_match_validation():
     model = scalar_mixture([0.5, -0.5], [0.5, 0.5])
     with pytest.raises(ValueError):
@@ -132,6 +142,33 @@ def test_baseline_error_matches_direct_oracle():
         g_hat = ols_markov(ds.inputs[i], ds.outputs[i], L).ravel()
         total += np.linalg.norm(G[ds.labels[i]] - g_hat)
     assert baseline_error(ds, model, L) == pytest.approx(total / ds.N, abs=1e-12)
+
+
+@pytest.mark.parametrize("N,T", [(1, 96), (45, 96), (100, 96), (500, 24)])
+def test_baseline_error_matches_loop(N, T):
+    # chunks of 45 trajectories at T=96 and 227 at T=24 (L=7): one chunk,
+    # exactly one full chunk, and three chunks with a short last one
+    model = random_mixture(3, 2, 1, 7, seed=5)
+    ds = generate_dataset(model, N, T, seed=N + T)
+    expect = baseline_error_loop(ds, model, 7)
+    assert baseline_error(ds, model, 7) == pytest.approx(expect, rel=1e-12)
+
+
+def test_baseline_error_batches_trajectories(monkeypatch):
+    calls = []
+    real = ldsmix.evaluate.ols_markov
+
+    def counting(inputs, outputs, L):
+        calls.append(inputs.shape[0])
+        return real(inputs, outputs, L)
+
+    monkeypatch.setattr(ldsmix.evaluate, "ols_markov", counting)
+    model = random_mixture(3, 3, 1, 7, seed=1)
+    N, T, L = 1000, 96, 7
+    ds = generate_dataset(model, N, T, seed=3)
+    baseline_error(ds, model, L)
+    assert sum(calls) == N
+    assert len(calls) <= math.ceil(N * (T - L + 1) / _OLS_ROW_BUDGET) + 1
 
 
 def test_baseline_error_requires_labels():

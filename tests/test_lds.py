@@ -62,6 +62,16 @@ def test_statespace_rejects_shape_mismatch():
         StateSpace(np.zeros((2, 2)), np.ones((2, 1)), np.ones(3))
 
 
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_statespace_rejects_non_finite(name, bad):
+    mats = {"A": np.array([[0.5, 0.0], [0.1, 0.2]]), "B": np.ones((2, 1)), "C": np.ones(2)}
+    mats[name] = mats[name].copy()
+    mats[name].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^StateSpace matrix {name} must be finite$"):
+        StateSpace(mats["A"], mats["B"], mats["C"])
+
+
 def test_random_stable_scalar_is_exact():
     for seed in range(6):
         ss = random_stable_system(1, 1, 0.5, seed=seed)
@@ -482,4 +492,19 @@ def test_mixture_file_rejects_unstable(tmp_path):
     text[idx] = "1.5"
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError, match="spectral radius"):
+        load_mixture(path)
+
+
+@pytest.mark.parametrize("row,name", [(1, "A"), (3, "B"), (5, "C")])
+def test_mixture_file_names_the_line_of_a_bad_component(tmp_path, row, name):
+    # n=2, m=1: rows 1-2 after a weight line are A, rows 3-4 are B, row 5 is C;
+    # corrupt the second component, whose weight sits on file line 8
+    model = random_mixture(2, 2, 1, 5, seed=7)
+    path = tmp_path / "m.txt"
+    save_mixture(path, model)
+    text = path.read_text().splitlines()
+    assert text[7].startswith("weight")
+    text[7 + row] = " ".join(["nan"] + text[7 + row].split()[1:])
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(ValueError, match=f"^line 8: StateSpace matrix {name} must be finite$"):
         load_mixture(path)

@@ -14,6 +14,7 @@ from ldsmix.mlr import RegressionDataset
 from ldsmix.pipeline import (build_stacked, estimate_text, ho_kalman, load_estimate,
                              mlds_fit, ols_markov, save_estimate, stack_inputs,
                              stack_times)
+from oracles import ols_markov_lstsq
 
 
 def fir_system(m=1, gain=1.0):
@@ -245,6 +246,85 @@ def test_ols_markov_too_short():
 def test_ols_markov_rejects_nonpositive_horizon(L):
     with pytest.raises(ValueError, match="L must be >= 1"):
         ols_markov(np.zeros((5, 1)), np.zeros(5), L)
+
+
+def assert_matches_lstsq(g, inputs, outputs, L):
+    # every trajectory along the leading axes against its own np.linalg.lstsq
+    lead = inputs.shape[:-2]
+    assert g.shape == lead + (L, inputs.shape[-1])
+    for idx in np.ndindex(*lead):
+        ref = ols_markov_lstsq(inputs[idx], outputs[idx], L)
+        assert np.linalg.norm(g[idx] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 3), (1,)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ols_markov_batch_matches_lstsq(lead, m):
+    L = 4
+    rng = np.random.default_rng(20 + m)
+    # 40 steps, and L*m + L - 1: the shortest trajectory whose lag rows can have full rank
+    for T in (40, L * m + L - 1):
+        inputs = rng.normal(size=lead + (T, m))
+        outputs = rng.normal(size=lead + (T,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = ols_markov(inputs, outputs, L)
+        assert_matches_lstsq(g, inputs, outputs, L)
+        # the single-trajectory call agrees with the batch
+        one = ols_markov(inputs.reshape(-1, T, m)[0], outputs.reshape(-1, T)[0], L)
+        assert np.linalg.norm(one - g.reshape(-1, L, m)[0]) <= 1e-12 * np.linalg.norm(one)
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+def test_ols_markov_batch_fewer_rows_than_unknowns(lead):
+    L, m, T = 4, 2, 9  # 6 rows, 8 unknowns
+    rng = np.random.default_rng(30)
+    inputs = rng.normal(size=lead + (T, m))
+    inputs[..., 1] *= 1e-5  # small singular values that lstsq's cutoff keeps
+    outputs = rng.normal(size=lead + (T,))
+    with pytest.warns(RuntimeWarning, match="fewer rows than unknowns") as record:
+        g = ols_markov(inputs, outputs, L)
+    assert len(record) == 1
+    assert_matches_lstsq(g, inputs, outputs, L)
+
+
+def test_ols_markov_batch_badly_scaled_full_rank():
+    # R diagonals near 1e-9 * max sit far above lstsq's cutoff: solved by QR, no warning
+    L, m, T = 3, 2, 40
+    rng = np.random.default_rng(32)
+    inputs = rng.normal(size=(4, T, m))
+    inputs[..., 1] *= 1e-9
+    g_true = rng.normal(size=(L, m))
+    times = np.arange(L, T + 1)
+    outputs = np.zeros((4, T))
+    outputs[:, times - 1] = np.einsum("nslm,lm->ns", inputs[:, times[:, None] - 1 - np.arange(L)], g_true)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = ols_markov(inputs, outputs, L)
+    assert np.allclose(g, g_true, rtol=0.0, atol=1e-5)
+
+
+def test_ols_markov_batch_zero_input_trajectory():
+    L, m = 3, 2
+    rng = np.random.default_rng(31)
+    inputs = rng.normal(size=(5, 30, m))
+    outputs = rng.normal(size=(5, 30))
+    inputs[1] = 0.0
+    inputs[3] = 0.0
+    with pytest.warns(RuntimeWarning, match="2 of 5 trajectories") as record:
+        g = ols_markov(inputs, outputs, L)
+    assert len(record) == 1
+    assert np.array_equal(g[[1, 3]], np.zeros((2, L, m)))
+    assert_matches_lstsq(g, inputs, outputs, L)
+
+
+def test_ols_markov_batch_rejects_mismatched_outputs():
+    inputs = np.zeros((3, 10, 1))
+    for outputs in (np.zeros((3, 9)), np.zeros((2, 10)), np.zeros(10)):
+        with pytest.raises(ValueError, match="same T steps"):
+            ols_markov(inputs, outputs, 2)
+    with pytest.raises(InsufficientLengthError):
+        ols_markov(np.zeros((3, 3, 1)), np.zeros((3, 3)), 4)
 
 
 def test_ho_kalman_scalar_geometric():
