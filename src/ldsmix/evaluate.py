@@ -48,7 +48,8 @@ def match_components(est: MixtureEstimate, truth: MixtureModel, L: int) -> Match
     G = truth.markov_matrix(L)
     if est.dim != G.shape[1]:
         raise ValueError(f"coefficient length {est.dim} does not match L*m = {G.shape[1]}")
-    D = np.linalg.norm(est.coeffs[:, None, :] - G[None, :, :], axis=2)
+    with np.errstate(over="ignore"):  # an overflowed cost is inf and reported below
+        D = np.linalg.norm(est.coeffs[:, None, :] - G[None, :, :], axis=2)
     best = None
     best_cost = math.inf
     for perm in itertools.permutations(range(K)):

@@ -1,7 +1,7 @@
 """Moment estimators and spectral decomposition for mixtures of linear regressions.
 
 Covariates are assumed isotropic standard Gaussian; callers rescale by their
-known input scale before building a RegressionDataset.
+known input scale before stacking the rows of X.
 """
 
 from __future__ import annotations
@@ -14,54 +14,8 @@ from .errors import DegenerateMixtureError
 from .tensor3 import apply_matrix3, robust_tpm, symmetrize
 
 _WEIGHT_CLAMP = 1e-6
-
-
-@dataclass
-class RegressionDataset:
-    """Samples (x_i, y_i) with a fixed split into the M2 half and the M3 half."""
-
-    X: np.ndarray
-    y: np.ndarray
-    idx_m2: np.ndarray
-    idx_m3: np.ndarray
-
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=float).reshape(-1)
-        self.idx_m2 = np.asarray(self.idx_m2, dtype=np.intp).reshape(-1)
-        self.idx_m3 = np.asarray(self.idx_m3, dtype=np.intp).reshape(-1)
-        if self.X.ndim != 2 or self.X.shape[0] != self.y.shape[0]:
-            raise ValueError("X must be (N, d) with one response per row")
-        if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
-            raise ValueError("X and y must be finite")
-        N = self.y.shape[0]
-        if self.idx_m2.size == 0 or self.idx_m3.size == 0:
-            raise ValueError("both moment halves must be non-empty")
-        both = np.concatenate([self.idx_m2, self.idx_m3])
-        # N in-range indices with no index counted twice cover range(N) exactly
-        if (both.size != N or both.min() < 0 or both.max() >= N
-                or np.bincount(both, minlength=N).max() > 1):
-            raise ValueError("idx_m2 and idx_m3 must partition range(N)")
-
-    @classmethod
-    def split_halves(cls, X, y) -> "RegressionDataset":
-        """Default split: the first ceil(N/2) samples feed M2, the rest feed M3."""
-        y = np.asarray(y, dtype=float).reshape(-1)
-        cut = (y.shape[0] + 1) // 2
-        return cls(X, y, np.arange(cut), np.arange(cut, y.shape[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
-
-
-@dataclass
-class WhiteningMatrix:
-    """W with W' M2 W = I_K, plus the pseudo-inverse of W' that undoes it."""
-
-    W: np.ndarray                # (d, K)
-    pinv_wt: np.ndarray          # (d, K), equals U_K Sigma_K^(1/2)
-    singular_values: np.ndarray  # (K,) retained spectrum of M2, descending
+# the K-th retained eigenvalue of M2 must clear this for whitening
+_SIGMA_K_FLOOR = 1e-10
 
 
 @dataclass
@@ -91,22 +45,22 @@ class MixtureEstimate:
         return self.coeffs.shape[1]
 
 
-def estimate_m2(data: RegressionDataset) -> np.ndarray:
-    """Average of y^2 (x x' - I) / 2 over the M2 half; unbiased for sum_k p_k b_k b_k'."""
-    X = data.X[data.idx_m2]
-    y = data.y[data.idx_m2]
+def estimate_m2(X, y) -> np.ndarray:
+    """Average of y^2 (x x' - I) / 2 over the rows of X; unbiased for sum_k p_k b_k b_k'."""
     n = y.shape[0]
     w = y * y
     M = (X * w[:, None]).T @ X / (2.0 * n)
-    M -= (float(w.sum()) / (2.0 * n)) * np.eye(data.dim)
+    M -= (float(w.sum()) / (2.0 * n)) * np.eye(X.shape[1])
     return (M + M.T) / 2
 
 
-def whitening_from_m2(M2, K: int, threshold: float = 1e-10) -> WhiteningMatrix:
+def whitening_from_m2(M2, K: int):
     """Top-K spectral whitening of a symmetric second-moment estimate.
 
-    Raises DegenerateMixtureError when the K-th retained eigenvalue does not
-    clear the threshold (the mixture is rank deficient at this horizon).
+    Returns (W, P), both (d, K): W' M2 W = I_K, and P = U_K Sigma_K^(1/2) =
+    pinv(W') undoes the whitening. Raises DegenerateMixtureError when the
+    K-th retained eigenvalue does not clear 1e-10 (the mixture is rank
+    deficient at this horizon).
     """
     M2 = np.asarray(M2, dtype=float)
     if M2.ndim != 2 or M2.shape[0] != M2.shape[1]:
@@ -115,32 +69,30 @@ def whitening_from_m2(M2, K: int, threshold: float = 1e-10) -> WhiteningMatrix:
         raise ValueError(f"K must be in [1, {M2.shape[0]}]")
     evals, vecs = np.linalg.eigh((M2 + M2.T) / 2)
     sig = evals[-K:][::-1].copy()
-    if not sig[-1] > threshold:
+    if not sig[-1] > _SIGMA_K_FLOOR:
         raise DegenerateMixtureError(
-            f"whitening needs sigma_K > {threshold:g}, got sigma_{K} = {sig[-1]:.6e}",
+            f"whitening needs sigma_K > {_SIGMA_K_FLOOR:g}, got sigma_{K} = {sig[-1]:.6e}",
             sigma=float(sig[-1]),
         )
     U = vecs[:, -K:][:, ::-1]
     root = np.sqrt(sig)
-    return WhiteningMatrix(W=U / root, pinv_wt=U * root, singular_values=sig)
+    return U / root, U * root
 
 
-def estimate_whitened_m3(data: RegressionDataset, wh: WhiteningMatrix) -> np.ndarray:
-    """Whitened third-moment estimate, a symmetric (K, K, K) array built directly in the whitened basis.
+def estimate_whitened_m3(X, y, W) -> np.ndarray:
+    """Whitened third-moment estimate over the rows of X, a symmetric (K, K, K) array built directly in the whitened basis.
 
     Each sample contributes y^3 [(W'x)^(x3) - sym3(W'x, W'W)] / (6 n3), where
     sym3(z, G)_{abc} = z_a G_bc + z_b G_ac + z_c G_ab is the Gaussian
     correction pushed through the whitening map. Because the correction is
     linear in z, it collapses to three rank-1 terms of the weighted mean.
     """
-    X = data.X[data.idx_m3]
-    y = data.y[data.idx_m3]
     n = y.shape[0]
-    Z = X @ wh.W
+    Z = X @ W
     w = (y ** 3) / (6.0 * n)
     cube = np.einsum("i,ia,ib,ic->abc", w, Z, Z, Z, optimize=True)
     s = w @ Z
-    G = wh.W.T @ wh.W
+    G = W.T @ W
     G = (G + G.T) / 2
     corr = (
         np.einsum("a,bc->abc", s, G)
@@ -150,13 +102,12 @@ def estimate_whitened_m3(data: RegressionDataset, wh: WhiteningMatrix) -> np.nda
     return symmetrize(cube - corr)
 
 
-def _dewhiten(lams, vecs, wh: WhiteningMatrix) -> MixtureEstimate:
+def _dewhiten(lams, vecs, P) -> MixtureEstimate:
     # each eigenvalue estimates 1/sqrt(p); flip negative signs into the vector,
     # clamp tiny values (heavy noise) and flag the result as low confidence
     K = lams.shape[0]
-    d = wh.W.shape[0]
     weights = np.empty(K)
-    coeffs = np.empty((K, d))
+    coeffs = np.empty((K, P.shape[0]))
     notes = []
     for k, v in enumerate(vecs):
         lam = float(lams[k])
@@ -166,41 +117,45 @@ def _dewhiten(lams, vecs, wh: WhiteningMatrix) -> MixtureEstimate:
             notes.append(f"component {k}: eigenvalue {lam:.3e} clamped to {_WEIGHT_CLAMP:g} (low confidence)")
             lam = _WEIGHT_CLAMP
         weights[k] = 1.0 / (lam * lam)
-        coeffs[k] = lam * (wh.pinv_wt @ v)
+        coeffs[k] = lam * (P @ v)
     return MixtureEstimate(weights, coeffs, tuple(notes))
 
 
-def mlr_fit(data: RegressionDataset, K: int, n_restarts=None, n_iters: int = 100,
-            seed: int = 0, threshold: float = 1e-10) -> MixtureEstimate:
-    """Whiten the second moment, decompose the whitened third moment, undo the whitening."""
-    M2 = estimate_m2(data)
-    wh = whitening_from_m2(M2, K, threshold)
-    M3w = estimate_whitened_m3(data, wh)
+def mlr_fit(X, y, n_m2: int, K: int, n_restarts=None, n_iters: int = 100,
+            seed: int = 0) -> MixtureEstimate:
+    """Whiten the second moment, decompose the whitened third moment, undo the whitening.
+
+    Rows [:n_m2] of (X, y) feed M2 and the rest feed M3; both slices are views.
+    """
+    if not 0 < n_m2 < y.shape[0]:
+        raise ValueError("both moment halves must be non-empty")
+    W, P = whitening_from_m2(estimate_m2(X[:n_m2], y[:n_m2]), K)
+    M3w = estimate_whitened_m3(X[n_m2:], y[n_m2:], W)
     lams, vecs = robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
-    return _dewhiten(lams, vecs, wh)
+    return _dewhiten(lams, vecs, P)
 
 
 def fit_from_moments(M2, M3, K: int, n_restarts=None, n_iters: int = 100,
-                     seed: int = 0, threshold: float = 1e-10) -> MixtureEstimate:
+                     seed: int = 0) -> MixtureEstimate:
     """The same whiten/decompose/dewhiten pipeline driven by externally supplied moments.
 
     M3 is a symmetric (d, d, d) array; other shapes and asymmetric entries are rejected.
     """
-    wh = whitening_from_m2(M2, K, threshold)
-    M3w = apply_matrix3(M3, wh.W)
+    W, P = whitening_from_m2(M2, K)
+    M3w = apply_matrix3(M3, W)
     lams, vecs = robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
-    return _dewhiten(lams, vecs, wh)
+    return _dewhiten(lams, vecs, P)
 
 
-def refine_first_moment(est: MixtureEstimate, data: RegressionDataset) -> MixtureEstimate:
-    """Re-solve the weights against the empirical first moment, coefficients fixed.
+def refine_first_moment(est: MixtureEstimate, X, y) -> MixtureEstimate:
+    """Re-solve the weights against the empirical first moment X'y / n, coefficients fixed.
 
     Minimizes ||sum_k p_k b_k - m1|| subject to sum_k p_k = 1 through the KKT
     system, then clamps the weights at 1e-6 and renormalizes. When the
     coefficient matrix is rank deficient the input is returned unchanged,
     with a note appended.
     """
-    m1 = data.X.T @ data.y / data.y.shape[0]
+    m1 = X.T @ y / y.shape[0]
     B = est.coeffs  # (K, d)
     K = est.K
     if np.linalg.matrix_rank(B) < K:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InsufficientLengthError
 from .lds import StateSpace, TrajectoryDataset
-from .mlr import MixtureEstimate, RegressionDataset, mlr_fit, refine_first_moment
+from .mlr import MixtureEstimate, mlr_fit, refine_first_moment
 from .util import atomic_write_text, fmt, format_rows, parse_rows, parse_weight, read_text
 
 
@@ -30,65 +30,40 @@ def _lag_rows(inputs, L, times):
     return np.take(inputs, lags, axis=-2).reshape(-1, L * inputs.shape[-1])
 
 
-def stack_inputs(inputs, L: int):
-    """Non-overlapping lag windows of one trajectory's inputs.
-
-    Returns (times, covariates): covariates[s] = (u_{t-1}, ..., u_{t-L}) for
-    t = times[s], so consecutive rows touch disjoint stretches of the input.
-    """
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
-    times = stack_times(inputs.shape[0], L)
-    return times, _lag_rows(inputs, L, times)
-
-
-def build_stacked(dataset: TrajectoryDataset, L: int, sigma_u: float = 1.0, partition=None) -> RegressionDataset:
+def build_stacked(dataset: TrajectoryDataset, L: int, sigma_u: float = 1.0):
     """Stack every trajectory at the subsampled times; covariates are scaled by 1/sigma_u.
 
-    Row i*S + s comes from trajectory i at time times[s], where times =
-    stack_times(T, L) has S entries. partition is an optional pair of
-    trajectory index arrays (M2 half, M3 half); the default pits the first
-    ceil(N/2) trajectories against the rest.
+    Returns (X, y): row i*S + s comes from trajectory i at time times[s],
+    where times = stack_times(T, L) has S entries.
     """
     if sigma_u <= 0.0:
         raise ValueError("sigma_u must be positive")
-    N, T = dataset.outputs.shape
-    times = stack_times(T, L)
+    times = stack_times(dataset.T, L)
     X = _lag_rows(dataset.inputs, L, times)
-    X /= sigma_u
-    y = dataset.outputs[:, times - 1].reshape(-1)
-    if partition is None:
-        in_m2 = np.arange(N) < (N + 1) // 2
-    else:
-        p2 = np.asarray(partition[0], dtype=np.intp).reshape(-1)
-        p3 = np.asarray(partition[1], dtype=np.intp).reshape(-1)
-        both = np.concatenate([p2, p3])
-        if (both.size != N or np.unique(both).size != N
-                or (both.size and (both.min() < 0 or both.max() >= N))):
-            raise ValueError("partition must split range(N) into two disjoint halves")
-        in_m2 = np.zeros(N, dtype=bool)
-        in_m2[p2] = True
-    rows_m2 = np.repeat(in_m2, times.shape[0])
-    return RegressionDataset(X, y, np.flatnonzero(rows_m2), np.flatnonzero(~rows_m2))
+    with np.errstate(over="ignore"):  # an overflow is reported by the check below
+        X /= sigma_u
+    if not np.isfinite(X).all():
+        raise ValueError("X and y must be finite")
+    return X, dataset.outputs[:, times - 1].reshape(-1)
 
 
-def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0, partition=None,
-             n_restarts=None, n_iters: int = 100, seed: int = 0, threshold: float = 1e-10,
-             refine: bool = False) -> MixtureEstimate:
+def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
+             n_restarts=None, n_iters: int = 100, seed: int = 0, refine: bool = False) -> MixtureEstimate:
     """Estimate K horizon-L Markov vectors and mixture weights from unlabeled trajectories.
 
-    With refine=True the weights are then re-solved against the empirical
+    The rows of the first ceil(N/2) trajectories feed M2 and the rest feed
+    M3. With refine=True the weights are then re-solved against the empirical
     first moment (refine_first_moment); the coefficients are unchanged.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    data = build_stacked(dataset, L, sigma_u, partition)
-    if K > data.dim:
-        raise ValueError(f"K={K} exceeds the covariate dimension L*m={data.dim}")
-    est = mlr_fit(data, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed, threshold=threshold)
+    X, y = build_stacked(dataset, L, sigma_u)
+    if K > X.shape[1]:
+        raise ValueError(f"K={K} exceeds the covariate dimension L*m={X.shape[1]}")
+    n_m2 = (dataset.N + 1) // 2 * (dataset.T // L)  # stack_times gives T // L rows per trajectory
+    est = mlr_fit(X, y, n_m2, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
     if refine:
-        est = refine_first_moment(est, data)
+        est = refine_first_moment(est, X, y)
     return replace(est, coeffs=est.coeffs / sigma_u)
 
 

@@ -152,3 +152,21 @@ def baseline_error_loop(dataset, truth, L) -> float:
         g_hat = ols_markov_lstsq(dataset.inputs[i], dataset.outputs[i], L)
         total += float(np.linalg.norm(G[dataset.labels[i]] - g_hat.ravel()))
     return total / dataset.N
+
+
+def lag_windows_loop(inputs, L):
+    """One trajectory's non-overlapping lag windows, one window and one lag at a time.
+
+    Returns (times, rows) with times = L, 2L, ... <= T and rows[s] = (u_{t-1},
+    u_{t-2}, ..., u_{t-L}) for t = times[s]; steps after the last window are dropped.
+    """
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim == 1:
+        inputs = inputs[:, None]
+    T, m = inputs.shape
+    times = list(range(L, T + 1, L))
+    rows = np.empty((len(times), L * m))
+    for s, t in enumerate(times):
+        for j in range(L):
+            rows[s, j * m : (j + 1) * m] = inputs[t - 1 - j]
+    return np.array(times), rows

@@ -5,29 +5,33 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import ldsmix
+from ldsmix import pipeline
+from ldsmix.lds import generate_dataset, random_mixture
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 PUBLIC = [
     "DecompositionError", "DegenerateMixtureError", "InsufficientLengthError",
     "MatchResult", "MixtureEstimate", "MixtureModel", "NoiseConfig",
-    "RegressionDataset", "StateSpace", "SweepConfig", "SweepRecord", "TrajectoryDataset",
-    "WhiteningMatrix", "__version__", "aggregate", "apply_matrix3", "baseline_error",
+    "StateSpace", "SweepConfig", "SweepRecord", "TrajectoryDataset",
+    "__version__", "aggregate", "apply_matrix3", "baseline_error",
     "build_stacked", "derive_seed", "estimate_m2", "estimate_text", "estimate_whitened_m3",
     "fit_from_moments", "generate_dataset", "ho_kalman", "impulse_response", "load_dataset",
     "load_estimate", "load_mixture", "load_records_csv", "match_components", "mixture_m2",
     "mixture_sigma_k", "mlds_fit", "mlr_fit", "ols_markov", "random_mixture",
     "random_stable_system", "refine_first_moment", "robust_tpm", "rollout", "run_sweep",
     "sample_mixture", "save_dataset", "save_estimate", "save_mixture", "simulate",
-    "stack_inputs", "stack_times", "symmetrize", "whitening_from_m2", "write_levels",
+    "stack_times", "symmetrize", "whitening_from_m2", "write_levels",
     "write_records_csv", "write_series",
 ]
 
 
 def test_all_is_pinned():
     assert sorted(ldsmix.__all__) == PUBLIC
-    assert len(PUBLIC) == 54
+    assert len(PUBLIC) == 51
     assert len(set(ldsmix.__all__)) == len(ldsmix.__all__)
 
 
@@ -36,12 +40,17 @@ def test_every_public_name_resolves():
         assert getattr(ldsmix, name) is not None, name
 
 
-def test_traced_functions_resolve():
-    # the benchmark's per-layer tracer binds these functions by module and name;
-    # a rename would silently turn a layer into a missing span
+def load_tracing():
     spec = importlib.util.spec_from_file_location("ldsmix_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_resolve():
+    # the benchmark's per-layer tracer binds these functions by module and name;
+    # a rename would silently turn a layer into a missing span
+    tracing = load_tracing()
     missing = []
     for targets in tracing.LAYERS.values():
         for module, name, _ in targets:
@@ -51,3 +60,19 @@ def test_traced_functions_resolve():
     # mlds_fit_refined was folded into mlds_fit(..., refine=True); its entry is
     # dropped on the next change to the benchmark
     assert set(missing) <= {"ldsmix.pipeline.mlds_fit_refined"}, missing
+
+
+def test_fit_layers_are_traced():
+    # mlds_fit must reach each fit layer through the module-level names the
+    # tracer replaces; a stage called some other way reads 0 calls and is
+    # flagged. The call goes through the module so the traced binding is used.
+    model = random_mixture(2, 2, 1, 5, (0.5, 0.8), seed=1)
+    data = generate_dataset(model, 40, 20, seed=2)
+    plain = pipeline.mlds_fit(data, 5, 2, seed=3, refine=True)
+    with load_tracing().Tracer() as tracer:
+        traced = pipeline.mlds_fit(data, 5, 2, seed=3, refine=True)
+    for layer in ("pipeline.stack", "mlr.m2", "mlr.whiten", "mlr.m3", "mlr.fit",
+                  "mlr.refine", "tensor3.tpm", "pipeline.fit"):
+        assert tracer.stats[layer]["calls"] >= 1, layer
+    assert np.array_equal(traced.weights, plain.weights)
+    assert np.array_equal(traced.coeffs, plain.coeffs)

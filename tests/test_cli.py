@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,19 @@ from ldsmix.mlr import MixtureEstimate
 from ldsmix.pipeline import load_estimate, save_estimate
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def run_process(*argv):
+    """The CLI in a fresh interpreter, where a numpy warning reaches stderr; returns (code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ldsmix.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
 
 
 def test_no_command_prints_help(capsys):
@@ -165,6 +180,25 @@ def test_fit_decomposition_exit_code(tmp_path):
                "--L", "2", "--K", "2") == 4
 
 
+def test_fit_single_trajectory_exit_code(tmp_path, capsys):
+    # one trajectory leaves the M3 half empty; this is a validation error,
+    # not a degenerate whitening
+    data_path, _ = fit_workspace(tmp_path, N=1)
+    out = tmp_path / "est.txt"
+    assert run("fit", "--data", data_path, "--out", str(out)) == 2
+    assert "error: both moment halves must be non-empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_overflowing_sigma_u_exit_code(tmp_path, capsys):
+    # dividing the inputs by a subnormal sigma_u overflows the stacked covariates
+    data_path, _ = fit_workspace(tmp_path, N=4)
+    out = tmp_path / "est.txt"
+    assert run("fit", "--data", data_path, "--out", str(out), "--sigma-u", "1e-320") == 2
+    assert "error: X and y must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def eval_workspace(tmp_path, L=4):
     from ldsmix.lds import MixtureModel, StateSpace
     systems = [StateSpace([[0.5]], [[1.0]], [1.0]), StateSpace([[-0.4]], [[1.0]], [1.0])]
@@ -234,9 +268,20 @@ def test_eval_overflowing_estimate_exit_code(tmp_path, capsys):
     model, mix_path = eval_workspace(tmp_path)
     est_path = str(tmp_path / "est.txt")
     save_estimate(est_path, MixtureEstimate(model.weights, np.full((2, 4), 1e308)), 4, 1)
-    with np.errstate(over="ignore"):
-        assert run("eval", "--estimate", est_path, "--mixture", mix_path) == 2
+    assert run("eval", "--estimate", est_path, "--mixture", mix_path) == 2
     assert "has a finite cost" in capsys.readouterr().err
+
+
+def test_overflow_error_paths_print_only_the_error(tmp_path):
+    # an overflow that ends in a documented error prints that error and no numpy warning
+    data_path, _ = fit_workspace(tmp_path, N=4)
+    code, err = run_process("fit", "--data", data_path, "--out", str(tmp_path / "e.txt"), "--sigma-u", "1e-320")
+    assert (code, err) == (2, "error: X and y must be finite\n")
+    model, mix_path = eval_workspace(tmp_path)
+    est_path = str(tmp_path / "est.txt")
+    save_estimate(est_path, MixtureEstimate(model.weights, np.full((2, 4), 1e308)), 4, 1)
+    code, err = run_process("eval", "--estimate", est_path, "--mixture", mix_path)
+    assert (code, err) == (2, "error: no assignment of estimated to true components has a finite cost\n")
 
 
 def test_eval_swapped_matches_unswapped(tmp_path, capsys):

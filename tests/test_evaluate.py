@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,8 +99,10 @@ def test_match_components_rejects_infinite_costs():
     # finite coefficients whose distance to the truth overflows to inf
     model = scalar_mixture([0.5, -0.4, 0.2], np.full(3, 1.0 / 3.0))
     est = MixtureEstimate(np.full(3, 1.0 / 3.0), np.full((3, 7), 1e308))
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="no assignment .* has a finite cost"):
-        match_components(est, model, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow must not surface as a numpy warning
+        with pytest.raises(ValueError, match="no assignment .* has a finite cost"):
+            match_components(est, model, 7)
 
 
 def test_match_validation():

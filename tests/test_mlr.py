@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 
 from ldsmix.errors import DegenerateMixtureError
-from ldsmix.mlr import (MixtureEstimate, RegressionDataset, WhiteningMatrix,
-                        estimate_m2, estimate_whitened_m3, fit_from_moments,
-                        mlr_fit, refine_first_moment, whitening_from_m2)
+from ldsmix.mlr import (MixtureEstimate, estimate_m2, estimate_whitened_m3,
+                        fit_from_moments, mlr_fit, refine_first_moment,
+                        whitening_from_m2)
 from ldsmix.tensor3 import apply_matrix3, symmetrize
 from oracles import op_norm_estimate, outer3
 
 
-def make_data(X, y, n2=None):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    if n2 is None:
-        n2 = (n + 1) // 2
-    return RegressionDataset(X, y, np.arange(n2), np.arange(n2, n))
+def halves(X, y):
+    """The default split: the first ceil(n/2) rows feed M2, the rest feed M3."""
+    n2 = (len(y) + 1) // 2
+    return (X[:n2], y[:n2]), (X[n2:], y[n2:])
 
 
 def sample_mlr(rng, betas, weights, n, noise=0.0):
@@ -40,55 +37,24 @@ def exact_moments(betas, weights):
 
 
 def identity_whitening(d):
-    return WhiteningMatrix(np.eye(d), np.eye(d), np.ones(d))
-
-
-def test_regression_dataset_validation():
-    X = np.zeros((4, 2))
-    y = np.zeros(4)
-    with pytest.raises(ValueError):
-        RegressionDataset(X, y, np.array([0, 1]), np.array([1, 2, 3]))  # overlap
-    with pytest.raises(ValueError):
-        RegressionDataset(X, y, np.array([0, 1]), np.array([2]))  # not covering
-    with pytest.raises(ValueError):
-        RegressionDataset(X, y, np.arange(4), np.array([], dtype=int))  # empty half
-    for idx_m2, idx_m3 in (([0, 1], [1, 3]),    # duplicate, right count
-                           ([0, 1], [2, 4]),    # out of range
-                           ([-1, 1], [2, 3])):  # negative
-        with pytest.raises(ValueError, match="partition"):
-            RegressionDataset(X, y, np.array(idx_m2), np.array(idx_m3))
-    bad_X = X.copy()
-    bad_X[2, 1] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        RegressionDataset(bad_X, y, np.array([0, 1]), np.array([2, 3]))
-    with pytest.raises(ValueError, match="finite"):
-        RegressionDataset(X, np.array([0.0, np.inf, 0.0, 0.0]), np.array([0, 1]), np.array([2, 3]))
-
-
-def test_split_halves():
-    X = np.zeros((5, 2))
-    data = RegressionDataset.split_halves(X, np.zeros(5))
-    assert np.array_equal(data.idx_m2, [0, 1, 2])
-    assert np.array_equal(data.idx_m3, [3, 4])
-    assert data.dim == 2
+    return np.eye(d), np.eye(d)
 
 
 def test_estimate_m2_single_sample():
-    data = make_data([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0], n2=1)
-    M2 = estimate_m2(data)
+    M2 = estimate_m2(np.array([[1.0, 0.0]]), np.array([1.0]))
     assert np.allclose(M2, np.diag([0.0, -0.5]), atol=1e-15)
 
 
 def test_estimate_m2_zero_response():
     rng = np.random.default_rng(0)
-    data = make_data(rng.normal(size=(10, 3)), np.zeros(10))
-    assert np.array_equal(estimate_m2(data), np.zeros((3, 3)))
+    (X2, y2), _ = halves(rng.normal(size=(10, 3)), np.zeros(10))
+    assert np.array_equal(estimate_m2(X2, y2), np.zeros((3, 3)))
 
 
 def test_estimate_m2_is_symmetric():
     rng = np.random.default_rng(1)
-    data = make_data(rng.normal(size=(50, 4)), rng.normal(size=50))
-    M2 = estimate_m2(data)
+    (X2, y2), _ = halves(rng.normal(size=(50, 4)), rng.normal(size=50))
+    M2 = estimate_m2(X2, y2)
     assert np.array_equal(M2, M2.T)
 
 
@@ -96,21 +62,21 @@ def test_estimate_m2_monte_carlo_unbiased():
     rng = np.random.default_rng(2)
     beta = np.array([1.0, 0.0])
     X, y = sample_mlr(rng, [beta], [1.0], 2_000_000)
-    data = make_data(X, y)  # first half feeds M2
-    M2 = estimate_m2(data)
+    (X2, y2), _ = halves(X, y)  # first half feeds M2
+    M2 = estimate_m2(X2, y2)
     assert np.linalg.norm(M2 - np.outer(beta, beta), 2) < 0.02
 
 
 def test_whitening_identity_input():
-    wh = whitening_from_m2(np.eye(3), 3)
-    assert np.allclose(wh.W.T @ np.eye(3) @ wh.W, np.eye(3), atol=1e-12)
-    assert np.allclose(wh.W @ wh.W.T, np.eye(3), atol=1e-12)
+    W, _ = whitening_from_m2(np.eye(3), 3)
+    assert np.allclose(W.T @ np.eye(3) @ W, np.eye(3), atol=1e-12)
+    assert np.allclose(W @ W.T, np.eye(3), atol=1e-12)
 
 
 def test_whitening_scalar():
-    wh = whitening_from_m2(np.array([[4.0]]), 1)
-    assert wh.W[0, 0] == pytest.approx(0.5, abs=1e-15)
-    assert wh.pinv_wt[0, 0] == pytest.approx(2.0, abs=1e-15)
+    W, P = whitening_from_m2(np.array([[4.0]]), 1)
+    assert W[0, 0] == pytest.approx(0.5, abs=1e-15)
+    assert P[0, 0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_whitening_orthonormalizes_components():
@@ -121,8 +87,8 @@ def test_whitening_orthonormalizes_components():
         weights = rng.dirichlet(np.ones(K)) * 0.8 + 0.2 / K
         weights = weights / weights.sum()
         M2, _ = exact_moments(betas, weights)
-        wh = whitening_from_m2(M2, K)
-        Z = np.column_stack([np.sqrt(w) * (wh.W.T @ b) for w, b in zip(weights, betas)])
+        W, _ = whitening_from_m2(M2, K)
+        Z = np.column_stack([np.sqrt(w) * (W.T @ b) for w, b in zip(weights, betas)])
         assert np.allclose(Z.T @ Z, np.eye(K), atol=1e-10), f"trial {trial}"
 
 
@@ -135,8 +101,8 @@ def test_whitening_identity_invariant_on_noisy_input():
         M2, _ = exact_moments(betas, np.full(K, 1.0 / K))
         noise = rng.normal(size=(d, d)) * 0.01
         M2n = M2 + (noise + noise.T) / 2.0
-        wh = whitening_from_m2(M2n, K)
-        assert np.allclose(wh.W.T @ M2n @ wh.W, np.eye(K), atol=1e-8)
+        W, _ = whitening_from_m2(M2n, K)
+        assert np.allclose(W.T @ M2n @ W, np.eye(K), atol=1e-8)
 
 
 def test_whitening_degenerate_raises_with_sigma():
@@ -153,29 +119,28 @@ def test_whitening_pinv_consistency():
     betas = rng.normal(size=(3, 7))
     weights = np.array([0.5, 0.3, 0.2])
     M2, _ = exact_moments(betas, weights)
-    wh = whitening_from_m2(M2, 3)
+    W, P = whitening_from_m2(M2, 3)
     # pinv of W' recovers each beta from its whitened image
     for w, b in zip(weights, betas):
-        z = np.sqrt(w) * (wh.W.T @ b)
-        back = (wh.pinv_wt @ z) / np.sqrt(w)
+        z = np.sqrt(w) * (W.T @ b)
+        back = (P @ z) / np.sqrt(w)
         assert np.allclose(back, b, atol=1e-10)
-    assert np.allclose(np.linalg.pinv(wh.W.T), wh.pinv_wt, atol=1e-12)
+    assert np.allclose(np.linalg.pinv(W.T), P, atol=1e-12)
 
 
 def test_whitened_m3_zero_response():
     rng = np.random.default_rng(6)
-    data = make_data(rng.normal(size=(8, 2)), np.zeros(8))
-    t = estimate_whitened_m3(data, identity_whitening(2))
+    _, (X3, y3) = halves(rng.normal(size=(8, 2)), np.zeros(8))
+    W, _ = identity_whitening(2)
+    t = estimate_whitened_m3(X3, y3, W)
     assert np.array_equal(t, np.zeros((2, 2, 2)))
 
 
 def test_whitened_m3_hand_expansion():
     # one sample with y^3 = 6 makes the prefactor 1: tensor = e1^x3 - E(e1)
     y3 = 6.0 ** (1.0 / 3.0)
-    data = RegressionDataset(np.array([[0.0, 0.0], [1.0, 0.0]]),
-                             np.array([0.0, y3]),
-                             np.array([0]), np.array([1]))
-    t = estimate_whitened_m3(data, identity_whitening(2))
+    W, _ = identity_whitening(2)
+    t = estimate_whitened_m3(np.array([[1.0, 0.0]]), np.array([y3]), W)
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 1.0 - 3.0
     for idx in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
@@ -187,11 +152,10 @@ def test_whitened_m3_monte_carlo_unbiased():
     rng = np.random.default_rng(7)
     beta = np.array([2.0, -1.0])
     M2, _ = exact_moments([beta], [1.0])
-    wh = whitening_from_m2(M2, 1)
+    W, _ = whitening_from_m2(M2, 1)
     X, y = sample_mlr(rng, [beta], [1.0], 2_000_000)
-    data = RegressionDataset(X, y, np.array([0]), np.arange(1, len(y)))
-    t = estimate_whitened_m3(data, wh)
-    target = (wh.W.T @ beta) ** 3  # scalar whitened space
+    t = estimate_whitened_m3(X[1:], y[1:], W)  # every sample but the first feeds M3
+    target = (W.T @ beta) ** 3  # scalar whitened space
     assert abs(t[0, 0, 0] - target[0]) < 0.05
 
 
@@ -201,17 +165,17 @@ def test_moment_errors_shrink_like_root_n():
     betas = np.array([[1.0, 0.5, 0.0], [-0.5, 1.0, 0.5]])
     weights = np.array([0.6, 0.4])
     M2, M3 = exact_moments(betas, weights)
-    wh = whitening_from_m2(M2, 2)
-    target = apply_matrix3(M3, wh.W)
+    W, _ = whitening_from_m2(M2, 2)
+    target = apply_matrix3(M3, W)
     r2, r3 = [], []
     for seed in range(20):
         errs2, errs3 = [], []
         for n in (2000, 8000):
             srng = np.random.default_rng((seed + 1, n))
             X, y = sample_mlr(srng, betas, weights, n)
-            data = make_data(X, y)
-            errs2.append(np.linalg.norm(estimate_m2(data) - M2, 2))
-            diff = estimate_whitened_m3(data, wh) - target
+            (X2, y2), (X3, y3) = halves(X, y)
+            errs2.append(np.linalg.norm(estimate_m2(X2, y2) - M2, 2))
+            diff = estimate_whitened_m3(X3, y3, W) - target
             errs3.append(op_norm_estimate(symmetrize(diff),
                                           n_restarts=20, n_iters=50, seed=seed))
         r2.append(errs2[0] / errs2[1])
@@ -258,11 +222,11 @@ def test_dewhitening_exactness_algebra():
     betas = rng.normal(size=(3, 6))
     weights = np.array([0.5, 0.25, 0.25])
     M2, _ = exact_moments(betas, weights)
-    wh = whitening_from_m2(M2, 3)
+    W, P = whitening_from_m2(M2, 3)
     for w, b in zip(weights, betas):
-        z = np.sqrt(w) * (wh.W.T @ b)  # unit-norm whitened factor
+        z = np.sqrt(w) * (W.T @ b)  # unit-norm whitened factor
         assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-10)
-        recovered = (1.0 / np.sqrt(w)) * (wh.pinv_wt @ z)
+        recovered = (1.0 / np.sqrt(w)) * (P @ z)
         assert np.allclose(recovered, b, atol=1e-10)
 
 
@@ -270,7 +234,7 @@ def test_mlr_fit_single_component_monte_carlo():
     rng = np.random.default_rng(11)
     beta = np.array([1.0, -2.0, 0.5])
     X, y = sample_mlr(rng, [beta], [1.0], 100_000)
-    est = mlr_fit(make_data(X, y), 1, seed=0)
+    est = mlr_fit(X, y, 50_000, 1, seed=0)
     assert est.K == 1
     assert np.linalg.norm(est.coeffs[0] - beta) < 0.05
     assert abs(est.weights[0] - 1.0) < 0.05
@@ -289,16 +253,23 @@ def test_mlr_fit_propagates_degeneracy():
     X = np.tile(np.array([[1.0, 0.0, 0.0]]), (6, 1))
     y = np.full(6, 1.0)
     with pytest.raises(DegenerateMixtureError):
-        mlr_fit(make_data(X, y), 2, seed=0)
+        mlr_fit(X, y, 3, 2, seed=0)
+
+
+def test_mlr_fit_rejects_an_empty_half():
+    X = np.eye(4)
+    y = np.ones(4)
+    for n_m2 in (-1, 0, 4, 5):
+        with pytest.raises(ValueError, match="both moment halves must be non-empty"):
+            mlr_fit(X, y, n_m2, 1)
 
 
 def test_mlr_fit_deterministic():
     rng = np.random.default_rng(13)
     betas = np.array([[1.0, 0.0], [0.0, 1.0]])
     X, y = sample_mlr(rng, betas, [0.5, 0.5], 5000)
-    data = make_data(X, y)
-    a = mlr_fit(data, 2, seed=4)
-    b = mlr_fit(data, 2, seed=4)
+    a = mlr_fit(X, y, 2500, 2, seed=4)
+    b = mlr_fit(X, y, 2500, 2, seed=4)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.coeffs, b.coeffs)
 
@@ -322,7 +293,7 @@ def test_refine_fixed_point():
     n = 200_000
     X, y = sample_mlr(rng, betas, weights, n)
     est = MixtureEstimate(weights, betas)
-    out = refine_first_moment(est, make_data(X, y))
+    out = refine_first_moment(est, X, y)
     assert np.allclose(out.weights, weights, atol=0.02)
     assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -332,9 +303,8 @@ def test_refine_separable_oracle():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     # y chosen so X'y/N = (0.7, 0.3): y = (1.4, 0.6) over N=2
     y = np.array([1.4, 0.6])
-    data = RegressionDataset(X, y, np.array([0]), np.array([1]))
     est = MixtureEstimate(np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-    out = refine_first_moment(est, data)
+    out = refine_first_moment(est, X, y)
     assert np.allclose(out.weights, [0.7, 0.3], atol=1e-10)
     assert np.array_equal(out.coeffs, est.coeffs)
 
@@ -347,7 +317,6 @@ def test_refine_matches_nullspace_oracle():
         B = rng.normal(size=(K, d))
         X = rng.normal(size=(50, d))
         y = rng.normal(size=50)
-        data = make_data(X, y)
         m1 = X.T @ y / len(y)
         # parametrize p = p0 + Z q with p0 = (1,0,..,0), Z spanning sum-zero space
         Z = np.vstack([np.ones((1, K - 1)) * -1.0, np.eye(K - 1)])
@@ -357,7 +326,7 @@ def test_refine_matches_nullspace_oracle():
         q, *_ = np.linalg.lstsq(A @ Z, m1 - A @ p0, rcond=None)
         p_oracle = p0 + Z @ q
         est = MixtureEstimate(np.full(K, 1.0 / K), B)
-        out = refine_first_moment(est, data)
+        out = refine_first_moment(est, X, y)
         res_out = np.linalg.norm(B.T @ out.weights - m1)
         res_oracle = np.linalg.norm(B.T @ p_oracle - m1)
         if (p_oracle >= 1e-6).all():
@@ -370,10 +339,9 @@ def test_refine_matches_nullspace_oracle():
 def test_refine_rank_deficient_returns_unchanged():
     X = np.eye(2)
     y = np.ones(2)
-    data = RegressionDataset(X, y, np.array([0]), np.array([1]))
     B = np.array([[1.0, 0.0], [1.0, 0.0]])  # duplicate rows
     est = MixtureEstimate(np.array([0.5, 0.5]), B)
-    out = refine_first_moment(est, data)
+    out = refine_first_moment(est, X, y)
     assert np.array_equal(out.weights, est.weights)
     assert any("rank" in w for w in out.warnings)
 
@@ -387,5 +355,5 @@ def test_refine_weight_sum_property():
         X = rng.normal(size=(40, d))
         y = rng.normal(size=40)
         est = MixtureEstimate(rng.uniform(0.2, 1.0, size=K), B)
-        out = refine_first_moment(est, make_data(X, y))
+        out = refine_first_moment(est, X, y)
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)

@@ -6,15 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+from ldsmix import mlr
 from ldsmix.errors import InsufficientLengthError
 from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset,
                         generate_dataset, impulse_response, random_mixture,
                         random_stable_system)
-from ldsmix.mlr import RegressionDataset
 from ldsmix.pipeline import (build_stacked, estimate_text, ho_kalman, load_estimate,
-                             mlds_fit, ols_markov, save_estimate, stack_inputs,
-                             stack_times)
-from oracles import ols_markov_lstsq
+                             mlds_fit, ols_markov, save_estimate, stack_times)
+from oracles import lag_windows_loop, ols_markov_lstsq
 
 
 def fir_system(m=1, gain=1.0):
@@ -38,16 +37,23 @@ def test_stack_times_too_short():
         stack_times(3, 4)
 
 
+def stack_one(u, L):
+    """build_stacked on a one-trajectory dataset; returns (times, X)."""
+    u = np.asarray(u, dtype=float).reshape(1, len(u), -1)
+    X, _ = build_stacked(TrajectoryDataset(u, np.zeros(u.shape[:2])), L)
+    return stack_times(u.shape[1], L), X
+
+
 def test_stack_inputs_smallest_case():
     u = np.array([[10.0], [20.0]])
-    times, rows = stack_inputs(u, 2)
+    times, rows = stack_one(u, 2)
     assert np.array_equal(times, [2])
     assert np.array_equal(rows, [[20.0, 10.0]])  # (u_1, u_0)
 
 
 def test_stack_inputs_discards_remainder():
     u = np.arange(5, dtype=float)[:, None]  # u_t = t
-    times, rows = stack_inputs(u, 2)
+    times, rows = stack_one(u, 2)
     assert np.array_equal(times, [2, 4])
     assert np.array_equal(rows, [[1.0, 0.0], [3.0, 2.0]])  # u_4 dropped
 
@@ -59,7 +65,7 @@ def test_stack_inputs_index_oracle():
         L = int(rng.integers(1, T + 1))
         m = int(rng.integers(1, 4))
         u = rng.normal(size=(T, m))
-        times, rows = stack_inputs(u, L)
+        times, rows = stack_one(u, L)
         assert len(times) == T // L
         for s, t in enumerate(times):
             expect = np.concatenate([u[t - 1 - j] for j in range(L)])
@@ -67,7 +73,7 @@ def test_stack_inputs_index_oracle():
 
 
 def test_stack_inputs_accepts_flat_vector():
-    times, rows = stack_inputs(np.array([1.0, 2.0, 3.0, 4.0]), 2)
+    times, rows = stack_one(np.array([1.0, 2.0, 3.0, 4.0]), 2)
     assert np.array_equal(times, [2, 4])
     assert np.array_equal(rows, [[1.0, 1.0], [3.0, 3.0]]) is False
     assert np.array_equal(rows, [[2.0, 1.0], [4.0, 3.0]])
@@ -84,18 +90,17 @@ def test_build_stacked_shapes_and_provenance():
     # provenance is the layout: row i*S + s is trajectory i at time times[s]
     N, T, m, L = 4, 9, 2, 3
     ds = make_dataset(N, T, m)
-    data = build_stacked(ds, L)
+    X, y = build_stacked(ds, L)
     times = stack_times(T, L)
     S = times.shape[0]
     assert np.array_equal(times, np.arange(L, T + 1, L))
-    assert isinstance(data, RegressionDataset)
-    assert data.X.shape == (N * S, L * m)
-    assert data.y.shape == (N * S,)
+    assert X.shape == (N * S, L * m)
+    assert y.shape == (N * S,)
     for i in range(N):
-        _, rows = stack_inputs(ds.inputs[i], L)
+        _, rows = lag_windows_loop(ds.inputs[i], L)
         for s in range(S):
-            assert np.array_equal(data.X[i * S + s], rows[s])
-            assert data.y[i * S + s] == ds.outputs[i, times[s] - 1]
+            assert np.array_equal(X[i * S + s], rows[s])
+            assert y[i * S + s] == ds.outputs[i, times[s] - 1]
 
 
 def test_build_stacked_raw_index_disjointness():
@@ -103,10 +108,10 @@ def test_build_stacked_raw_index_disjointness():
     # each input is coded 100*i + t, so X shows which raw inputs a row read
     N, T, L = 3, 17, 4
     code = 100.0 * np.arange(N)[:, None] + np.arange(T)
-    data = build_stacked(TrajectoryDataset(code[:, :, None], np.zeros((N, T))), L)
+    X, _ = build_stacked(TrajectoryDataset(code[:, :, None], np.zeros((N, T))), L)
     S = T // L
     for i in range(N):
-        rows = data.X[i * S : (i + 1) * S]
+        rows = X[i * S : (i + 1) * S]
         assert np.all(rows // 100 == i)
         windows = [set(r.tolist()) for r in rows]
         for a in range(S):
@@ -116,28 +121,32 @@ def test_build_stacked_raw_index_disjointness():
 
 def test_build_stacked_response_and_scaling():
     ds = make_dataset(2, 6, 1, seed=3)
-    data = build_stacked(ds, 3, sigma_u=2.0)
+    X, y = build_stacked(ds, 3, sigma_u=2.0)
     # responses are the raw outputs at the subsampled times
-    assert data.y[0] == ds.outputs[0, 2]
-    assert data.y[1] == ds.outputs[0, 5]
+    assert y[0] == ds.outputs[0, 2]
+    assert y[1] == ds.outputs[0, 5]
     # covariates divided by sigma_u
-    _, raw = stack_inputs(ds.inputs[0], 3)
-    assert np.allclose(data.X[:2], raw / 2.0, atol=0)
+    _, raw = lag_windows_loop(ds.inputs[0], 3)
+    assert np.allclose(X[:2], raw / 2.0, atol=0)
 
 
-def test_build_stacked_partition_by_trajectory():
+def test_build_stacked_partition_by_trajectory(monkeypatch):
+    # S = 2 rows per trajectory: the first ceil(N/2) = 3 trajectories feed M2
+    # and the other 2 feed M3, as two views of the one stacked X
     ds = make_dataset(5, 4, 1)
-    data = build_stacked(ds, 2)
-    # S = 2 rows per trajectory; default: first ceil(N/2)=3 trajectories feed M2
-    assert np.array_equal(data.idx_m2, [0, 1, 2, 3, 4, 5])
-    assert np.array_equal(data.idx_m3, [6, 7, 8, 9])
-    custom = build_stacked(ds, 2, partition=([0, 4], [1, 2, 3]))
-    assert np.array_equal(custom.idx_m2, [0, 1, 8, 9])
-    assert np.array_equal(custom.idx_m3, [2, 3, 4, 5, 6, 7])
-    with pytest.raises(ValueError):
-        build_stacked(ds, 2, partition=([0, 1], [1, 2, 3, 4]))
-    with pytest.raises(ValueError):
-        build_stacked(ds, 2, partition=([0], [2, 3, 4]))
+    X, y = build_stacked(ds, 2)
+    seen = {}
+    # the stand-in moments whiten and decompose cleanly: M2 = I, M3w = 1
+    for name, moment in (("estimate_m2", np.eye(2)), ("estimate_whitened_m3", np.ones((1, 1, 1)))):
+        def record(Xh, yh, *rest, _name=name, _moment=moment):
+            seen[_name] = (Xh, yh)
+            return _moment
+        monkeypatch.setattr(mlr, name, record)
+    mlds_fit(ds, L=2, K=1)
+    (X2, y2), (X3, y3) = seen["estimate_m2"], seen["estimate_whitened_m3"]
+    assert np.array_equal(X2, X[:6]) and np.array_equal(y2, y[:6])
+    assert np.array_equal(X3, X[6:]) and np.array_equal(y3, y[6:])
+    assert X2.base is not None and X2.base is X3.base
 
 
 def test_mlds_fit_fir_single_component():
