@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMixtureError
-from .util import atomic_write_text, fmt, format_rows, parse_rows, parse_weight, read_text
+from .util import atomic_write_text, child_generators, fmt, format_rows, parse_rows, parse_weight, read_text
 
 
 def _spectral_radius(A) -> float:
@@ -203,24 +203,18 @@ def simulate(ss: StateSpace, inputs, process_noise=None, measurement_noise=None)
     return out
 
 
-def _draw(T: int, m: int, noise: NoiseConfig, seed):
-    # one trajectory's Gaussian draws in the fixed order inputs, process noise, measurement noise
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.normal(0.0, noise.sigma_u, size=(T, m))
-    w1 = rng.normal(0.0, noise.sigma_w1, size=(T, m))
-    w2 = rng.normal(0.0, noise.sigma_w2, size=T)
-    return u, w1, w2
-
-
 def rollout(ss: StateSpace, T: int, noise: NoiseConfig = NoiseConfig(), seed=0):
     """One trajectory with Gaussian inputs and noise; returns (inputs, outputs).
 
     Draw order is fixed (inputs, then process noise, then measurement noise),
     so a seed fully determines the trajectory.
     """
-    u, w1, w2 = _draw(T, ss.input_dim, noise, seed)
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    rng = np.random.default_rng(seed)
+    u = rng.normal(0.0, noise.sigma_u, size=(T, ss.input_dim))
+    w1 = rng.normal(0.0, noise.sigma_w1, size=(T, ss.input_dim))
+    w2 = rng.normal(0.0, noise.sigma_w2, size=T)
     return u, simulate(ss, u, w1, w2)
 
 
@@ -235,17 +229,28 @@ def sample_mixture(model: MixtureModel, N: int, seed=0) -> np.ndarray:
 def generate_dataset(model: MixtureModel, N: int, T: int, noise: NoiseConfig = NoiseConfig(), seed: int = 0) -> TrajectoryDataset:
     """Labels from the mixture, then one independent rollout per trajectory.
 
-    Per-trajectory streams are derived from (seed, trajectory index), so the
-    result is independent of generation order. Each component then simulates
-    all of its trajectories in one batch, with the same outputs as rollout.
+    Trajectory i draws from the stream of SeedSequence((seed, 2, i + 1)), as
+    rollout would with that seed, so the result is independent of generation
+    order. Each component then simulates all of its trajectories in one batch,
+    with the same outputs as rollout.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if T < 1:
+        raise ValueError("T must be >= 1")
     labels = sample_mixture(model, N, np.random.SeedSequence((seed, 1)))
     m = model.input_dim
     U = np.empty((N, T, m))
     drive = np.empty((N, T, m))
     Y = np.empty((N, T))
-    for i in range(N):
-        U[i], drive[i], Y[i] = _draw(T, m, noise, np.random.SeedSequence((seed, 2, i + 1)))
+    for i, rng in enumerate(child_generators((seed, 2), N)):
+        rng.standard_normal(out=U[i])
+        rng.standard_normal(out=drive[i])
+        rng.standard_normal(out=Y[i])
+    # normal(0.0, sigma) is 0.0 + sigma * z; adding 0.0 turns the -0.0 of a zero sigma into +0.0
+    for arr, sigma in ((U, noise.sigma_u), (drive, noise.sigma_w1), (Y, noise.sigma_w2)):
+        arr *= sigma
+        arr += 0.0
     # drive = process noise + inputs and Y = measurement noise + noise-free outputs, formed
     # in place: float addition commutes bitwise, so this equals simulate(ss, u, w1, w2)
     drive += U

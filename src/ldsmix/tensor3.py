@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DecompositionError
+from .util import child_generators
 
 _PERMS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _SYM_RTOL = 1e-12
@@ -115,9 +116,7 @@ def robust_tpm(T, K: int, n_restarts=None, n_iters: int = 100, seed: int = 0):
     vecs = np.empty((K, d))
     for rnd in range(K):
         mat2 = T.reshape(d, -1)
-        starts = np.stack([
-            _unit_sphere(np.random.default_rng(np.random.SeedSequence((seed, rnd + 1, r + 1))), d)
-            for r in range(n_restarts)])
+        starts = np.stack([_unit_sphere(rng, d) for rng in child_generators((seed, rnd + 1), n_restarts)])
         U, collapsed = _power_iterations(mat2, starts, n_iters)
         alive = np.flatnonzero(~collapsed)
         if alive.size == 0:

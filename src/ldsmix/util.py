@@ -1,4 +1,4 @@
-"""Small shared helpers: float formatting, atomic writes, seed derivation, text parsing.
+"""Small shared helpers: float formatting, atomic writes, seed derivation and child streams, text parsing.
 
 The mlds-* text files share one row codec: format_rows writes an array one row
 per line, parse_rows reads such lines back, read_text opens a file and checks its header.
@@ -55,6 +55,107 @@ def derive_seed(*parts: int) -> int:
     """
     key = tuple(int(p) + 1 for p in parts)
     return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
+
+
+# SeedSequence's hash constants and pool size, and PCG64's 128-bit LCG multiplier (numpy.random)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_BLOCK = 256
+
+
+def _hash_consts(init, mult, n) -> np.ndarray:
+    # the n + 1 multipliers init * mult**k mod 2**32 that successive hashes use, as a column
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _seed_words(prefix, first, count) -> np.ndarray:
+    # generate_state(4, uint64) of SeedSequence(prefix + (key,)) for the count keys from
+    # first on, as a (count, 4) uint64 array. Row w of entropy is entropy word w of every
+    # key. Each step below hashes several words at once with the constants that
+    # SeedSequence's one-word-at-a-time loop would use; no word hashed in a step is changed
+    # by that step, so the order within a step does not matter.
+    words = []
+    for part in prefix:
+        part = int(part)
+        while True:
+            words.append(part & _MASK32)
+            part >>= 32
+            if not part:
+                break
+    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), count), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(first, first + count, dtype=np.uint32)
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    used = 0
+
+    def hashmix(values, n):
+        # n successive hashes; values broadcasts against an (n, 1) column
+        nonlocal used
+        values = (values ^ consts[used:used + n]) * consts[used + 1:used + n + 1]
+        used += n
+        return values ^ (values >> 16)
+
+    def mix(x, y):
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ (out >> 16)
+
+    pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], len(dst)))
+    for src in range(_POOL_SIZE, len(entropy)):
+        pool = mix(pool, hashmix(entropy[src], _POOL_SIZE))
+    consts = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ consts[:8]) * consts[1:]
+    state = (state ^ (state >> 16)).astype(np.uint64)
+    # the uint64 words are little-endian pairs of the uint32 words
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
+
+
+def _pcg64_state(s_hi, s_lo, q_hi, q_lo) -> dict:
+    # PCG64's srandom(initstate, initseq) from generate_state(4, uint64) = (s_hi, s_lo, q_hi, q_lo)
+    inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+    return {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+
+
+def child_generators(prefix, count: int):
+    """Yield one reused Generator count times, the i-th time in the state default_rng(SeedSequence(prefix + (i + 1,))) starts from.
+
+    SeedSequence's hash runs on uint32 arrays for a block of up to 256 keys at
+    a time (blocks keep the temporaries small), and each result is turned into
+    PCG64's seeding, so the draws have the same bits as one fresh Generator
+    per key. Item 0 is also seeded by numpy itself on every call: that raises
+    numpy's own error for a negative or non-integer prefix, and a RuntimeError
+    if the two seedings disagree. Take each item's draws before asking for the
+    next one.
+    """
+    prefix = tuple(prefix)
+    bitgen = np.random.PCG64(np.random.SeedSequence(prefix + (1,)))
+    if not 0 <= count <= _MASK32:
+        raise ValueError(f"count must lie in [0, 2**32), got {count}")
+    template = bitgen.state
+    words = _seed_words(prefix, 1, max(1, min(count, _BLOCK)))
+    if _pcg64_state(*words[0].tolist()) != template["state"]:
+        raise RuntimeError(f"vectorized seeding of {prefix + (1,)} disagrees with numpy's PCG64")
+    return _reseeded(bitgen, template, prefix, count, words[:count])
+
+
+def _reseeded(bitgen, template, prefix, count, words):
+    # words holds the first block; later blocks are hashed when they are reached
+    rng = np.random.Generator(bitgen)
+    for lo in range(0, count, _BLOCK):
+        if lo:
+            words = _seed_words(prefix, lo + 1, min(_BLOCK, count - lo))
+        for row in words.tolist():
+            bitgen.state = dict(template, state=_pcg64_state(*row))
+            yield rng
 
 
 def parse_header(line: str, tag: str, keys: tuple[str, ...]) -> dict[str, int]:

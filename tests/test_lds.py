@@ -11,6 +11,7 @@ from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace,
                         load_dataset, load_mixture, mixture_m2, mixture_sigma_k,
                         random_mixture, random_stable_system, rollout,
                         sample_mixture, save_dataset, save_mixture, simulate)
+from ldsmix.util import derive_seed
 from oracles import dataset_text_loop, generate_dataset_loop, simulate_loop
 
 
@@ -257,19 +258,39 @@ def test_simulate_batch_matches_loop():
                 assert np.array_equal(clean[idx], simulate_loop(ss, u[idx]))
 
 
+def assert_same_dataset_as_loop(model, N, T, noise, seed):
+    data = generate_dataset(model, N, T, noise, seed=seed)
+    U, Y, labels = generate_dataset_loop(model, N, T, noise, seed=seed)
+    assert np.array_equal(data.labels, labels)
+    for got, want in ((data.inputs, U), (data.outputs, Y)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    # rollout on trajectory 0's stream reproduces trajectory 0
+    u, y = rollout(model.systems[labels[0]], T, noise, np.random.SeedSequence((seed, 2, 1)))
+    assert np.array_equal(u, U[0]) and np.array_equal(y, Y[0])
+    return labels
+
+
 def test_generate_dataset_matches_rollout_loop():
-    for K, n, m, N in ((3, 3, 1, 25), (2, 4, 2, 25), (4, 2, 3, 25), (4, 2, 1, 2)):
+    # seeds above 2**32 split into two entropy words; a zero sigma must give +0.0 as normal() does
+    noises = (NoiseConfig(), NoiseConfig(1, 0, 0), NoiseConfig(0, 0, 0))
+    for K, n, m, N in ((3, 3, 1, 25), (2, 4, 2, 25), (4, 2, 3, 25), (2, 3, 2, 1), (4, 2, 1, 2)):
         model = random_mixture(K, n, m, 5, seed=K + n + m)
-        noise = NoiseConfig()
-        data = generate_dataset(model, N, 19, noise, seed=3)
-        U, Y, labels = generate_dataset_loop(model, N, 19, noise, seed=3)
-        assert np.array_equal(data.labels, labels)
-        assert np.array_equal(data.inputs, U)
-        assert np.array_equal(data.outputs, Y)
-        # rollout on trajectory 0's stream reproduces trajectory 0
-        u, y = rollout(model.systems[labels[0]], 19, noise, np.random.SeedSequence((3, 2, 1)))
-        assert np.array_equal(u, U[0]) and np.array_equal(y, Y[0])
+        for seed in (0, 3, derive_seed(K, n)):
+            for noise in noises:
+                labels = assert_same_dataset_as_loop(model, N, 19, noise, seed)
     assert len(set(labels)) < K  # the last case leaves a component without trajectories
+
+
+def test_generate_dataset_checks_sizes_first():
+    # N, then T, before any array is allocated
+    model = two_scalar_mixture()
+    for N, T, message in ((0, 5, "N must be >= 1"), (-1, -1, "N must be >= 1"),
+                          (3, 0, "T must be >= 1"), (3, -1, "T must be >= 1")):
+        with pytest.raises(ValueError) as exc:
+            generate_dataset(model, N, T, NoiseConfig(), seed=1)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="T must be >= 1"):
+        rollout(scalar_system(0.5), 0)
 
 
 def test_generate_dataset_shapes_and_labels():

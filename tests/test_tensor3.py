@@ -8,6 +8,7 @@ import pytest
 from ldsmix.errors import DecompositionError
 from ldsmix.mlr import fit_from_moments
 from ldsmix.tensor3 import apply_matrix3, robust_tpm, symmetrize
+from ldsmix.util import derive_seed
 from oracles import contract, op_norm_estimate, outer3, power_loop, power_update, robust_tpm_loop
 
 
@@ -368,7 +369,7 @@ def assert_same_bits_as_loop(t, K, **kw):
 
 
 def test_robust_tpm_matches_restart_loop():
-    # all restarts of a round run as one array; the result must be bit-identical
+    # all restarts of a round run as one array, seeded in one pass; the result must be bit-identical
     # to running them one after another, on generic and orthogonal tensors
     rng = np.random.default_rng(61)
     for trial in range(20):
@@ -380,7 +381,8 @@ def test_robust_tpm_matches_restart_loop():
             V = orthonormal(rng, d, K)
             t = symmetrize(sum(p * outer3(V[:, k]) for k, p in enumerate(rng.uniform(0.1, 1.0, K))))
         restarts = None if trial % 5 == 0 else int(rng.integers(1, 30))
-        assert_same_bits_as_loop(t, K, n_restarts=restarts, n_iters=40, seed=trial)
+        for seed in (trial, derive_seed(trial, K)):  # the second is above 2**32: two entropy words
+            assert_same_bits_as_loop(t, K, n_restarts=restarts, n_iters=40, seed=seed)
 
 
 def collapsed_restarts(t, n_restarts, seed=0):

@@ -1,4 +1,4 @@
-"""Tests for the shared formatting, atomic-write, and seed helpers."""
+"""Tests for the shared formatting, atomic-write, seed and child-generator helpers."""
 
 import os
 import struct
@@ -6,8 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from ldsmix.util import (atomic_write_text, derive_seed, fmt, format_rows, parse_header, parse_rows,
-                         parse_weight, read_text)
+from ldsmix import util
+from ldsmix.lds import NoiseConfig, generate_dataset, random_mixture
+from ldsmix.tensor3 import robust_tpm, symmetrize
+from ldsmix.util import (atomic_write_text, child_generators, derive_seed, fmt, format_rows,
+                         parse_header, parse_rows, parse_weight, read_text)
 
 
 def test_fmt_round_trips_float64():
@@ -44,6 +47,66 @@ def test_derive_seed_trailing_zero_not_aliased():
     # offsets every part so (s,) and (s, 0) stay distinct streams
     assert derive_seed(4) != derive_seed(4, 0)
     assert derive_seed(0) != derive_seed(1)
+
+
+def test_child_generators_match_seed_sequence():
+    # item i is in the state numpy seeds from SeedSequence(prefix + (i + 1,)); (7, 1, 3) plus
+    # the key is five entropy words, one more than SeedSequence's pool of four
+    prefixes = [(0, 2), (5, 2), (2**32 - 1, 2), (2**32, 2), (2**64 - 1, 2), (2**70 + 3, 2),
+                (derive_seed(1, 2), 3), (7, 1, 3)]
+    for prefix in prefixes:
+        for i, rng in enumerate(child_generators(prefix, 3000)):
+            assert rng.bit_generator.state == np.random.PCG64(np.random.SeedSequence(prefix + (i + 1,))).state
+        assert i == 2999
+    assert list(child_generators((4, 2), 0)) == []
+    with pytest.raises(ValueError, match="count"):
+        child_generators((4, 2), 2**32)
+
+
+def test_child_generators_guard_catches_a_wrong_state(monkeypatch):
+    monkeypatch.setattr(util, "_PCG_MULT", util._PCG_MULT + 2)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        child_generators((3, 2), 10)
+
+
+def test_bad_seeds_raise_numpy_errors():
+    # numpy's own seeding of item 0 rejects them before the words are split
+    model = random_mixture(2, 2, 1, 3, seed=0)
+    t = symmetrize(np.random.default_rng(0).normal(size=(3, 3, 3)))
+    calls = (lambda s: child_generators((s, 2), 3), lambda s: generate_dataset(model, 3, 4, seed=s),
+             lambda s: robust_tpm(t, 1, n_restarts=2, seed=s))
+    for seed in (-1, 1.5):
+        with pytest.raises((ValueError, TypeError)) as want:
+            np.random.SeedSequence((seed, 1))
+        for call in calls:
+            with pytest.raises(want.type) as got:
+                call(seed)
+            assert str(got.value) == str(want.value)
+
+
+def test_seeding_cost_does_not_grow_per_item(monkeypatch):
+    # every trajectory and every restart once built its own SeedSequence; the number
+    # built per call must not depend on the number of trajectories or restarts
+    made = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    model = random_mixture(2, 2, 1, 3, seed=0)
+    counts = []
+    for N in (10, 500):
+        made.clear()
+        generate_dataset(model, N, 4, NoiseConfig(), seed=1)
+        counts.append(len(made))
+    t = symmetrize(np.random.default_rng(0).normal(size=(3, 3, 3)))
+    for n_restarts in (3, 60):
+        made.clear()
+        robust_tpm(t, 2, n_restarts=n_restarts, n_iters=5, seed=1)
+        counts.append(len(made))
+    assert counts[0] == counts[1] and counts[2] == counts[3], counts
 
 
 def test_parse_header_round_trip():
