@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DecompositionError, DegenerateMixtureError, InsufficientLengthError
 from .lds import MixtureModel, NoiseConfig, TrajectoryDataset, generate_dataset, random_mixture
 from .mlr import MixtureEstimate
-from .pipeline import mlds_fit, ols_markov
+from .pipeline import mlds_fit, ols_markov, trajectory_blocks
 from .util import atomic_write_text, derive_seed
 
 METHODS = ("tensor", "tensor_refine", "baseline")
@@ -71,10 +71,8 @@ def baseline_error(dataset: TrajectoryDataset, truth: MixtureModel, L: int) -> f
     if bad.size:
         raise ValueError(f"trajectory {bad[0]} has label {dataset.labels[bad[0]]} outside range({truth.K})")
     G = truth.markov_matrix(L)
-    chunk = max(1, _OLS_ROW_BUDGET // max(1, dataset.T - L + 1))
     errs = np.empty(dataset.N)
-    for lo in range(0, dataset.N, chunk):
-        hi = min(lo + chunk, dataset.N)
+    for lo, hi in trajectory_blocks(0, dataset.N, dataset.T - L + 1, _OLS_ROW_BUDGET):
         g_hat = ols_markov(dataset.inputs[lo:hi], dataset.outputs[lo:hi], L)
         errs[lo:hi] = np.linalg.norm(G[dataset.labels[lo:hi]] - g_hat.reshape(hi - lo, -1), axis=1)
     return float(errs.sum()) / dataset.N

@@ -10,6 +10,9 @@ import numpy as np
 from .errors import DegenerateMixtureError
 from .util import atomic_write_text, child_generators, fmt, format_rows, parse_rows, parse_weight, read_text
 
+# trajectories whose draws generate_dataset holds in its scratch block at a time
+_DRAW_BLOCK = 64
+
 
 def _spectral_radius(A) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
@@ -243,10 +246,20 @@ def generate_dataset(model: MixtureModel, N: int, T: int, noise: NoiseConfig = N
     U = np.empty((N, T, m))
     drive = np.empty((N, T, m))
     Y = np.empty((N, T))
-    for i, rng in enumerate(child_generators((seed, 2), N)):
-        rng.standard_normal(out=U[i])
-        rng.standard_normal(out=drive[i])
-        rng.standard_normal(out=Y[i])
+    # standard_normal keeps no state between calls, so one call per trajectory
+    # filling a row of inputs, process noise and measurement noise draws what
+    # three calls in that order would; rows are filled in a reused block
+    width = T * m
+    scratch = np.empty((min(N, _DRAW_BLOCK), 2 * width + T))
+    streams = child_generators((seed, 2), N)
+    for lo in range(0, N, scratch.shape[0]):
+        block = scratch[: N - lo]
+        for row, rng in zip(block, streams):
+            rng.standard_normal(out=row)
+        hi = lo + block.shape[0]
+        U[lo:hi] = block[:, :width].reshape(-1, T, m)
+        drive[lo:hi] = block[:, width : 2 * width].reshape(-1, T, m)
+        Y[lo:hi] = block[:, 2 * width :]
     # normal(0.0, sigma) is 0.0 + sigma * z; adding 0.0 turns the -0.0 of a zero sigma into +0.0
     for arr, sigma in ((U, noise.sigma_u), (drive, noise.sigma_w1), (Y, noise.sigma_w2)):
         arr *= sigma

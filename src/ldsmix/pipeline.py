@@ -12,6 +12,10 @@ from .lds import StateSpace, TrajectoryDataset
 from .mlr import MixtureEstimate, mlr_fit, refine_first_moment
 from .util import atomic_write_text, fmt, format_rows, parse_rows, parse_weight, read_text
 
+# lag rows per block of the moment passes in mlds_fit: at N=1e4, T=96, L=7
+# every pass, the refine pass over all 130 000 rows included, is one block
+_ROW_BUDGET = 1 << 17
+
 
 def stack_times(T: int, L: int) -> np.ndarray:
     """Subsampled times t = L, 2L, ..., floor(T/L)*L; leftover steps are discarded."""
@@ -30,21 +34,42 @@ def _lag_rows(inputs, L, times):
     return np.take(inputs, lags, axis=-2).reshape(-1, L * inputs.shape[-1])
 
 
-def build_stacked(dataset: TrajectoryDataset, L: int, sigma_u: float = 1.0):
-    """Stack every trajectory at the subsampled times; covariates are scaled by 1/sigma_u.
+def build_stacked(dataset: TrajectoryDataset, L: int, sigma_u: float = 1.0, start: int = 0, stop=None):
+    """Stack trajectories [start, stop) at the subsampled times; covariates are scaled by 1/sigma_u.
 
-    Returns (X, y): row i*S + s comes from trajectory i at time times[s],
-    where times = stack_times(T, L) has S entries.
+    stop=None means through the last trajectory. Returns (X, y): row
+    (i - start)*S + s comes from trajectory i at time times[s], where
+    times = stack_times(T, L) has S entries.
     """
     if sigma_u <= 0.0:
         raise ValueError("sigma_u must be positive")
     times = stack_times(dataset.T, L)
-    X = _lag_rows(dataset.inputs, L, times)
+    X = _lag_rows(dataset.inputs[start:stop], L, times)
     with np.errstate(over="ignore"):  # an overflow is reported by the check below
         X /= sigma_u
     if not np.isfinite(X).all():
         raise ValueError("X and y must be finite")
-    return X, dataset.outputs[:, times - 1].reshape(-1)
+    return X, dataset.outputs[start:stop, times - 1].reshape(-1)
+
+
+def trajectory_blocks(start: int, stop: int, rows_per_trajectory: int, budget: int):
+    """Consecutive (a, b) ranges covering trajectories [start, stop) under a row budget.
+
+    Each range holds max(1, budget // rows_per_trajectory) trajectories (the
+    last one may hold fewer), so it has at most budget rows unless a single
+    trajectory exceeds the budget.
+    """
+    step = max(1, budget // max(1, rows_per_trajectory))
+    for a in range(start, stop, step):
+        yield a, min(a + step, stop)
+
+
+def _row_blocks(dataset, L, sigma_u, start, stop):
+    # the stacked (X, y, share) of trajectories [start, stop) in blocks of at
+    # most _ROW_BUDGET rows; share is the block's fraction of the range's rows
+    for a, b in trajectory_blocks(start, stop, dataset.T // L, _ROW_BUDGET):
+        X, y = build_stacked(dataset, L, sigma_u, a, b)
+        yield X, y, (b - a) / (stop - start)
 
 
 def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
@@ -53,17 +78,22 @@ def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
 
     The rows of the first ceil(N/2) trajectories feed M2 and the rest feed
     M3. With refine=True the weights are then re-solved against the empirical
-    first moment (refine_first_moment); the coefficients are unchanged.
+    first moment of all rows (refine_first_moment); the coefficients are
+    unchanged. Each pass stacks its trajectories in blocks of at most
+    _ROW_BUDGET rows, so the stacked X of all trajectories never exists.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    X, y = build_stacked(dataset, L, sigma_u)
-    if K > X.shape[1]:
-        raise ValueError(f"K={K} exceeds the covariate dimension L*m={X.shape[1]}")
-    n_m2 = (dataset.N + 1) // 2 * (dataset.T // L)  # stack_times gives T // L rows per trajectory
-    est = mlr_fit(X, y, n_m2, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
+    stack_times(dataset.T, L)  # checks L and T before L*m is read
+    if K > L * dataset.m:
+        raise ValueError(f"K={K} exceeds the covariate dimension L*m={L * dataset.m}")
+    N, n2 = dataset.N, (dataset.N + 1) // 2
+    if n2 == N:
+        raise ValueError("both moment halves must be non-empty")
+    est = mlr_fit(_row_blocks(dataset, L, sigma_u, 0, n2), _row_blocks(dataset, L, sigma_u, n2, N), K,
+                  n_restarts=n_restarts, n_iters=n_iters, seed=seed)
     if refine:
-        est = refine_first_moment(est, X, y)
+        est = refine_first_moment(est, _row_blocks(dataset, L, sigma_u, 0, N))
     return replace(est, coeffs=est.coeffs / sigma_u)
 
 

@@ -1,6 +1,11 @@
-"""Reference implementations used only by the tests: tensor operations and the per-item loops."""
+"""Reference implementations used only by the tests: tensor operations, the per-item loops and the one-array fit."""
+
+from dataclasses import replace
 
 import numpy as np
+
+from ldsmix import mlr
+from ldsmix.pipeline import build_stacked
 
 
 def outer3(v) -> np.ndarray:
@@ -170,3 +175,20 @@ def lag_windows_loop(inputs, L):
         for j in range(L):
             rows[s, j * m : (j + 1) * m] = inputs[t - 1 - j]
     return np.array(times), rows
+
+
+def mlds_fit_one_array(dataset, L, K, sigma_u=1.0, n_restarts=None, n_iters=100, seed=0, refine=False):
+    """mlds_fit on one stacked X of all trajectories, each stage called once.
+
+    M2 reads rows [:n_m2] (the first ceil(N/2) trajectories) and M3 the rest;
+    the refine pass reads all rows as one block of share 1.0.
+    """
+    X, y = build_stacked(dataset, L, sigma_u)
+    n_m2 = (dataset.N + 1) // 2 * (dataset.T // L)
+    W, P = mlr.whitening_from_m2(mlr.estimate_m2(X[:n_m2], y[:n_m2]), K)
+    M3w = mlr.estimate_whitened_m3(X[n_m2:], y[n_m2:], W)
+    lams, vecs = mlr.robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
+    est = mlr._dewhiten(lams, vecs, P)
+    if refine:
+        est = mlr.refine_first_moment(est, [(X, y, 1.0)])
+    return replace(est, coeffs=est.coeffs / sigma_u)

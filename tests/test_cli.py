@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ldsmix import pipeline
 from ldsmix.cli import main
 from ldsmix.evaluate import aggregate, load_records_csv, match_components
 from ldsmix.lds import TrajectoryDataset, load_mixture, save_dataset, save_mixture
@@ -197,6 +199,29 @@ def test_fit_overflowing_sigma_u_exit_code(tmp_path, capsys):
     assert run("fit", "--data", data_path, "--out", str(out), "--sigma-u", "1e-320") == 2
     assert "error: X and y must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fit_non_finite_last_block_exit_code(tmp_path, capsys, monkeypatch):
+    # with 8-trajectory blocks, a 1e300 input of the last trajectory overflows
+    # under --sigma-u 1e-10 only in the last block of the M3 half; the fit
+    # stops there with one error line and writes no estimate
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", 8 * (28 // 7))
+    data_path, _ = fit_workspace(tmp_path)
+    fit = ("fit", "--data", data_path, "--out", str(tmp_path / "est.txt"), "--L", "7", "--K", "3", "--sigma-u", "1e-10")
+    assert run(*fit) == 0  # the unedited data fits at this scale
+    os.remove(tmp_path / "est.txt")
+    capsys.readouterr()
+    T = 28
+    lineno = 3 + 79 * (T + 1) + 3  # trajectory 79, t = 4
+    lines = open(data_path).read().splitlines()
+    lines[lineno - 1] = "1e300 " + lines[lineno - 1].split()[1]
+    with open(data_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*fit) == 2
+    assert capsys.readouterr().err == "error: X and y must be finite\n"
+    assert not (tmp_path / "est.txt").exists()
 
 
 def eval_workspace(tmp_path, L=4):

@@ -172,6 +172,10 @@ def test_baseline_error_batches_trajectories(monkeypatch):
     baseline_error(ds, model, L)
     assert sum(calls) == N
     assert len(calls) <= math.ceil(N * (T - L + 1) / _OLS_ROW_BUDGET) + 1
+    # the chunk boundaries that the baseline column's bits depend on: 45 trajectories
+    # of 90 lag rows per chunk, the last chunk holding the remaining 10
+    step = _OLS_ROW_BUDGET // (T - L + 1)
+    assert calls == [step] * (N // step) + [N % step]
 
 
 def test_baseline_error_requires_labels():

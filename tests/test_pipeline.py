@@ -1,19 +1,20 @@
 """Tests for trajectory stacking, the end-to-end fit, OLS baseline, and realization."""
 
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from ldsmix import mlr
+from ldsmix import mlr, pipeline
 from ldsmix.errors import InsufficientLengthError
 from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset,
                         generate_dataset, impulse_response, random_mixture,
                         random_stable_system)
 from ldsmix.pipeline import (build_stacked, estimate_text, ho_kalman, load_estimate,
                              mlds_fit, ols_markov, save_estimate, stack_times)
-from oracles import lag_windows_loop, ols_markov_lstsq
+from oracles import lag_windows_loop, mlds_fit_one_array, ols_markov_lstsq
 
 
 def fir_system(m=1, gain=1.0):
@@ -132,21 +133,112 @@ def test_build_stacked_response_and_scaling():
 
 def test_build_stacked_partition_by_trajectory(monkeypatch):
     # S = 2 rows per trajectory: the first ceil(N/2) = 3 trajectories feed M2
-    # and the other 2 feed M3, as two views of the one stacked X
+    # and the other 2 feed M3. Whether each half is one block (the default
+    # budget) or one block per trajectory (2 rows), the rows each stage sees,
+    # concatenated in order, are X[:6] and X[6:] of the full stacked X
     ds = make_dataset(5, 4, 1)
     X, y = build_stacked(ds, 2)
-    seen = {}
-    # the stand-in moments whiten and decompose cleanly: M2 = I, M3w = 1
-    for name, moment in (("estimate_m2", np.eye(2)), ("estimate_whitened_m3", np.ones((1, 1, 1)))):
-        def record(Xh, yh, *rest, _name=name, _moment=moment):
-            seen[_name] = (Xh, yh)
-            return _moment
-        monkeypatch.setattr(mlr, name, record)
-    mlds_fit(ds, L=2, K=1)
-    (X2, y2), (X3, y3) = seen["estimate_m2"], seen["estimate_whitened_m3"]
-    assert np.array_equal(X2, X[:6]) and np.array_equal(y2, y[:6])
-    assert np.array_equal(X3, X[6:]) and np.array_equal(y3, y[6:])
-    assert X2.base is not None and X2.base is X3.base
+    for budget, blocks in ((pipeline._ROW_BUDGET, (1, 1)), (2, (3, 2))):
+        monkeypatch.setattr(pipeline, "_ROW_BUDGET", budget)
+        seen = {"estimate_m2": [], "estimate_whitened_m3": []}
+        # the stand-in moments whiten and decompose cleanly: M2 = I, M3w = 1
+        for name, moment in (("estimate_m2", np.eye(2)), ("estimate_whitened_m3", np.ones((1, 1, 1)))):
+            def record(Xh, yh, *rest, _name=name, _moment=moment):
+                seen[_name].append((Xh, yh))
+                return _moment
+            monkeypatch.setattr(mlr, name, record)
+        mlds_fit(ds, L=2, K=1)
+        for name, rows, count in zip(seen, (slice(None, 6), slice(6, None)), blocks):
+            Xs, ys = zip(*seen[name])
+            assert len(Xs) == count
+            assert np.array_equal(np.concatenate(Xs), X[rows]) and np.array_equal(np.concatenate(ys), y[rows])
+
+
+def test_trajectory_blocks_cover_the_range_under_the_budget():
+    for start, stop, rows, budget in ((0, 10, 3, 9), (5, 6, 3, 9), (3, 40, 13, 100), (0, 7, 50, 10),
+                                      (2, 2, 4, 8), (0, 5, 0, 2), (0, 5, -3, 2)):
+        blocks = list(pipeline.trajectory_blocks(start, stop, rows, budget))
+        step = max(1, budget // max(1, rows))
+        assert [a for a, _ in blocks] == list(range(start, stop, step))
+        assert [b for _, b in blocks] == [min(a + step, stop) for a, _ in blocks]
+        assert all(b - a == 1 or (b - a) * rows <= budget for a, b in blocks)
+
+
+def fit_case(N, T=96, seed=0):
+    model = random_mixture(3, 3, 1, 7, (0.6, 0.9), seed=seed)
+    return generate_dataset(model, N, T, seed=seed + 1)
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_mlds_fit_matches_one_array_oracle(refine):
+    # at the default budget each pass is one block, so the fit has the bits of
+    # the fit on one stacked X
+    ds = fit_case(400)
+    est = mlds_fit(ds, 7, 3, seed=2, refine=refine)
+    ref = mlds_fit_one_array(ds, 7, 3, seed=2, refine=refine)
+    assert np.array_equal(est.weights, ref.weights)
+    assert np.array_equal(est.coeffs, ref.coeffs)
+
+
+def block_budget(per_block, S):
+    # one trajectory per block, or 7 from a budget that is no multiple of S,
+    # so each pass ends in a short block
+    return S if per_block == 1 else 7 * S + 5
+
+
+@pytest.mark.parametrize("per_block", [1, 7])
+def test_blocked_moments_stay_within_1e_12(monkeypatch, per_block):
+    # N=301 splits into halves of 151 and 150 trajectories; M2, the whitened M3
+    # and the refine pass's first moment, as mlds_fit sums them over blocks,
+    # stay within 1e-12 normwise of the same moments on one stacked X
+    ds = fit_case(301)
+    L, S = 7, 96 // 7
+    X, y = build_stacked(ds, L)
+    n2 = 151 * S
+    sums = []
+    share_sum = mlr._share_sum
+
+    def record(stage, blocks):
+        sums.append(share_sum(stage, blocks))
+        return sums[-1]
+
+    monkeypatch.setattr(mlr, "_share_sum", record)
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", block_budget(per_block, S))
+    mlds_fit(ds, L, 3, seed=2, refine=True)
+    M2, M3w, m1 = sums
+    W, _ = mlr.whitening_from_m2(mlr.estimate_m2(X[:n2], y[:n2]), 3)
+    for got, want in ((M2, mlr.estimate_m2(X[:n2], y[:n2])),
+                      (M3w, mlr.estimate_whitened_m3(X[n2:], y[n2:], W)),
+                      (m1, X.T @ y / len(y))):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_mlds_fit_blocks_stay_within_1e_12(monkeypatch):
+    # the fit itself, with 7 trajectories per block, at N=2e4 where the tensor
+    # power method is stable: on these mixtures at N <= 1e4 a 1e-14 change of
+    # the moments can move the winning restart, and with it the whole estimate
+    ds = fit_case(20_000)
+    ref = mlds_fit_one_array(ds, 7, 3, seed=2, refine=True)
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", block_budget(7, 96 // 7))
+    est = mlds_fit(ds, 7, 3, seed=2, refine=True)
+    for got, want in ((est.weights, ref.weights), (est.coeffs, ref.coeffs)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_mlds_fit_never_holds_the_stacked_x(monkeypatch):
+    # with 4096-row blocks the fit's allocations peak well below the stacked X
+    # of all trajectories, which a return to one X would exceed
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", 4096)
+    N, T, L = 4000, 96, 7
+    ds = fit_case(N, T)
+    full_nbytes = N * (T // L) * L * ds.m * 8
+    tracemalloc.start()
+    try:
+        mlds_fit(ds, L, 3, seed=2, refine=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_nbytes / 2
 
 
 def test_mlds_fit_fir_single_component():
