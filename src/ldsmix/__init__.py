@@ -13,14 +13,13 @@ from .evaluate import (MatchResult, SweepConfig, SweepRecord, aggregate,
                        run_sweep, write_levels, write_records_csv, write_series)
 from .lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset,
                   generate_dataset, impulse_response, load_dataset, load_mixture,
-                  mixture_m2, mixture_sigma_k, random_mixture, random_stable_system,
-                  rollout, sample_mixture, save_dataset, save_mixture, simulate)
-from .mlr import (MixtureEstimate, estimate_m2, estimate_whitened_m3,
-                  fit_from_moments, mlr_fit, refine_first_moment,
-                  whitening_from_m2)
+                  mixture_sigma_k, random_mixture, random_stable_system, rollout,
+                  save_dataset, save_mixture, simulate)
+from .mlr import (MixtureEstimate, estimate_m2, estimate_whitened_m3, mlr_fit,
+                  refine_first_moment, whitening_from_m2)
 from .pipeline import (build_stacked, estimate_text, ho_kalman, load_estimate,
                        mlds_fit, ols_markov, save_estimate, stack_times)
-from .tensor3 import apply_matrix3, robust_tpm, symmetrize
+from .tensor3 import robust_tpm, symmetrize
 from .util import derive_seed
 
 __version__ = "0.1.0"
@@ -32,13 +31,13 @@ __all__ = [
     "write_records_csv", "write_series",
     "MixtureModel", "NoiseConfig", "StateSpace", "TrajectoryDataset",
     "generate_dataset", "impulse_response", "load_dataset", "load_mixture",
-    "mixture_m2", "mixture_sigma_k", "random_mixture", "random_stable_system",
-    "rollout", "sample_mixture", "save_dataset", "save_mixture", "simulate",
-    "MixtureEstimate", "estimate_m2", "estimate_whitened_m3",
-    "fit_from_moments", "mlr_fit", "refine_first_moment", "whitening_from_m2",
+    "mixture_sigma_k", "random_mixture", "random_stable_system", "rollout",
+    "save_dataset", "save_mixture", "simulate",
+    "MixtureEstimate", "estimate_m2", "estimate_whitened_m3", "mlr_fit",
+    "refine_first_moment", "whitening_from_m2",
     "build_stacked", "estimate_text", "ho_kalman", "load_estimate", "mlds_fit",
     "ols_markov", "save_estimate", "stack_times",
-    "apply_matrix3", "robust_tpm", "symmetrize",
+    "robust_tpm", "symmetrize",
     "derive_seed",
     "__version__",
 ]

@@ -19,6 +19,8 @@ EXIT_DEGENERATE = 3
 EXIT_DECOMPOSITION = 4
 EXIT_IO = 5
 
+_EVAL_CSV_HEADER = "K,L,mean_error,mean_weight_error"
+
 
 def _int_list(text):
     vals = tuple(int(tok) for tok in str(text).split(",") if tok.strip() != "")
@@ -68,7 +70,6 @@ def _build_parser():
                                      description="Mixtures of linear dynamical systems: "
                                                  "simulate, fit, eval, sweep.")
     subs = parser.add_subparsers(dest="command")
-    by_name = {}
 
     sim = subs.add_parser("simulate", allow_abbrev=False,
                           help="draw a random mixture and a trajectory dataset from it")
@@ -77,7 +78,6 @@ def _build_parser():
     sim.add_argument("--out", default=None, help="output prefix; writes <out>.mixture.txt and <out>.dataset.txt")
     _add_common(sim, ("K", "n", "m", "L", "radius", "noise", "seed"))
     sim.set_defaults(func=cmd_simulate)
-    by_name["simulate"] = sim
 
     fit = subs.add_parser("fit", allow_abbrev=False, help="fit a mixture estimate to a dataset file")
     fit.add_argument("--data", default=None, help="input dataset file")
@@ -87,7 +87,6 @@ def _build_parser():
                      help="append order-ORDER state-space realizations per component")
     _add_common(fit, ("K", "L", "noise", "seed", "tpm"))
     fit.set_defaults(func=cmd_fit)
-    by_name["fit"] = fit
 
     ev = subs.add_parser("eval", allow_abbrev=False, help="score an estimate file against a true mixture file")
     ev.add_argument("--estimate", default=None, help="estimate file from fit")
@@ -96,7 +95,6 @@ def _build_parser():
     ev.add_argument("--csv", default=None, help="append a summary row to this CSV")
     ev.add_argument("--config", default=None, help="flat key=value file; explicit flags win")
     ev.set_defaults(func=cmd_eval)
-    by_name["eval"] = ev
 
     sw = subs.add_parser("sweep", allow_abbrev=False, help="run an N x T grid of trials and write CSV + summaries")
     sw.add_argument("--N", type=_int_list, default=(100, 1000), help="comma-separated trajectory counts")
@@ -107,9 +105,8 @@ def _build_parser():
     sw.add_argument("--out", default=None, help="output prefix; writes <out>.csv, <out>_series.txt, <out>_levels.txt")
     _add_common(sw, ("K", "n", "m", "L", "radius", "noise", "seed", "tpm"))
     sw.set_defaults(func=cmd_sweep)
-    by_name["sweep"] = sw
 
-    return parser, by_name
+    return parser, subs.choices
 
 
 def _load_config(path):
@@ -126,27 +123,27 @@ def _load_config(path):
     return cfg
 
 
-def _apply_config(sub, args, cfg, argv):
-    """Fill parsed args from a config dict; flags given on the command line win."""
+def _config_bool(text):
+    word = text.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off in any case, got {text!r}")
+    return word in ("1", "true", "yes", "on")
+
+
+def _apply_config(sub, cfg):
+    """Make a config dict the subcommand's defaults, so flags given on the command line win."""
     actions = {a.dest: a for a in sub._actions if a.option_strings}
+    values = {}
     for key, raw in cfg.items():
         if key not in actions or key == "config":
             raise ValueError(f"unknown config key {key!r}")
         action = actions[key]
-        explicit = any(tok == opt or tok.startswith(opt + "=")
-                       for tok in argv for opt in action.option_strings)
-        if explicit:
-            continue
-        if isinstance(action, argparse._StoreTrueAction):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                value = action.type(raw)
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
-        else:
-            value = raw
-        setattr(args, action.dest, value)
+        convert = _config_bool if isinstance(action, argparse._StoreTrueAction) else action.type
+        try:
+            values[key] = raw if convert is None else convert(raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    sub.set_defaults(**values)
 
 
 def _validate_common(args):
@@ -220,6 +217,11 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     _check(args.estimate, "--estimate is required")
     _check(args.mixture, "--mixture is required")
+    fresh = not args.csv or not os.path.exists(args.csv) or os.path.getsize(args.csv) == 0
+    if not fresh:
+        with open(args.csv) as fh:
+            _check(fh.readline().rstrip("\n") == _EVAL_CSV_HEADER,
+                   f"{args.csv}: line 1 is not the header {_EVAL_CSV_HEADER!r}; not appending")
     est, L, m = load_estimate(args.estimate)
     if args.L is not None:
         _check(args.L == L, f"--L {args.L} does not match the estimate horizon L={L}")
@@ -232,12 +234,10 @@ def cmd_eval(args) -> int:
     print(f"mean_error {mr.mean_error:.9g}")
     print(f"mean_weight_error {mr.mean_weight_error:.9g}")
     if args.csv:
-        header = "K,L,mean_error,mean_weight_error"
         row = f"{model.K},{L},{mr.mean_error:.9g},{mr.mean_weight_error:.9g}"
-        fresh = not os.path.exists(args.csv)
         with open(args.csv, "a") as fh:
             if fresh:
-                fh.write(header + "\n")
+                fh.write(_EVAL_CSV_HEADER + "\n")
             fh.write(row + "\n")
     return EXIT_OK
 
@@ -272,15 +272,15 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, by_name = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return EXIT_VALIDATION
     try:
         if getattr(args, "config", None):
-            raw_argv = sys.argv[1:] if argv is None else list(argv)
-            _apply_config(by_name[args.command], args, _load_config(args.config), raw_argv)
+            _apply_config(subparsers[args.command], _load_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except DegenerateMixtureError as exc:
         print(f"error: {exc}", file=sys.stderr)

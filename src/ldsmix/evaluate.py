@@ -94,7 +94,6 @@ class SweepConfig:
     radius_range: tuple = (0.6, 0.9)
     n_restarts: int | None = None
     n_iters: int = 100
-    sigma_min: float = 1e-8
 
 
 @dataclass
@@ -127,8 +126,7 @@ def run_sweep(cfg: SweepConfig, timer=time.perf_counter):
     records = []
     for seed in cfg.seeds:
         try:
-            model = random_mixture(cfg.K, cfg.n, cfg.m, cfg.L, cfg.radius_range,
-                                   seed=seed, sigma_min=cfg.sigma_min)
+            model = random_mixture(cfg.K, cfg.n, cfg.m, cfg.L, cfg.radius_range, seed=seed)
         except DegenerateMixtureError as exc:
             status = f"failed:{type(exc).__name__}"
             for N in cfg.N_values:

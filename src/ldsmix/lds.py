@@ -12,6 +12,9 @@ from .util import atomic_write_text, child_generators, fmt, format_rows, parse_r
 
 # trajectories whose draws generate_dataset holds in its scratch block at a time
 _DRAW_BLOCK = 64
+# random_mixture's floor on sigma_K and its number of draws
+_SIGMA_MIN = 1e-8
+_MAX_ATTEMPTS = 20
 
 
 def _spectral_radius(A) -> float:
@@ -221,14 +224,6 @@ def rollout(ss: StateSpace, T: int, noise: NoiseConfig = NoiseConfig(), seed=0):
     return u, simulate(ss, u, w1, w2)
 
 
-def sample_mixture(model: MixtureModel, N: int, seed=0) -> np.ndarray:
-    """Draw N component labels according to the mixture weights."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    rng = np.random.default_rng(seed)
-    return rng.choice(model.K, size=N, p=model.weights)
-
-
 def generate_dataset(model: MixtureModel, N: int, T: int, noise: NoiseConfig = NoiseConfig(), seed: int = 0) -> TrajectoryDataset:
     """Labels from the mixture, then one independent rollout per trajectory.
 
@@ -241,7 +236,7 @@ def generate_dataset(model: MixtureModel, N: int, T: int, noise: NoiseConfig = N
         raise ValueError("N must be >= 1")
     if T < 1:
         raise ValueError("T must be >= 1")
-    labels = sample_mixture(model, N, np.random.SeedSequence((seed, 1)))
+    labels = np.random.default_rng(np.random.SeedSequence((seed, 1))).choice(model.K, size=N, p=model.weights)
     m = model.input_dim
     U = np.empty((N, T, m))
     drive = np.empty((N, T, m))
@@ -273,26 +268,27 @@ def generate_dataset(model: MixtureModel, N: int, T: int, noise: NoiseConfig = N
     return TrajectoryDataset(U, Y, labels)
 
 
-def mixture_m2(model: MixtureModel, L: int) -> np.ndarray:
-    """Population second moment sum_k p_k g_k g_k' of the horizon-L Markov vectors."""
-    G = model.markov_matrix(L)
-    M = G.T @ (model.weights[:, None] * G)
-    return (M + M.T) / 2
-
-
 def mixture_sigma_k(model: MixtureModel, L: int) -> float:
-    """K-th largest eigenvalue of mixture_m2; whitening needs this positive."""
-    evals = np.linalg.eigvalsh(mixture_m2(model, L))
+    """K-th largest eigenvalue of the population second moment sum_k p_k g_k g_k' of the horizon-L Markov vectors.
+
+    Whitening needs this positive. Raises ValueError when K exceeds L*m, the
+    dimension of the Markov vectors.
+    """
+    G = model.markov_matrix(L)
+    if model.K > G.shape[1]:
+        raise ValueError(f"K={model.K} exceeds the covariate dimension L*m={G.shape[1]}")
+    M = G.T @ (model.weights[:, None] * G)
+    evals = np.linalg.eigvalsh((M + M.T) / 2)
     return float(evals[-model.K])
 
 
 def random_mixture(K: int, n: int, m: int, L: int, radius_range=(0.6, 0.9), weights=None,
-                   seed=0, sigma_min: float = 1e-8, max_attempts: int = 20) -> MixtureModel:
+                   seed=0) -> MixtureModel:
     """Random K-component mixture with per-component radii drawn from radius_range.
 
-    Component systems are redrawn (up to max_attempts) until the K-th eigenvalue
-    of the horizon-L second moment clears sigma_min, so whitening is well posed.
-    Weights default to uniform.
+    Component systems are redrawn (up to _MAX_ATTEMPTS = 20 times) until the
+    K-th eigenvalue of the horizon-L second moment clears _SIGMA_MIN = 1e-8,
+    so whitening is well posed. Weights default to uniform.
     """
     lo, hi = float(radius_range[0]), float(radius_range[1])
     if not (0.0 < lo <= hi < 1.0):
@@ -302,14 +298,14 @@ def random_mixture(K: int, n: int, m: int, L: int, radius_range=(0.6, 0.9), weig
     w = np.full(K, 1.0 / K) if weights is None else np.asarray(weights, dtype=float)
     rng = np.random.default_rng(seed)
     last = 0.0
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         systems = [random_stable_system(n, m, rng.uniform(lo, hi), rng) for _ in range(K)]
         model = MixtureModel(w.copy(), systems)
         last = mixture_sigma_k(model, L)
-        if last > sigma_min:
+        if last > _SIGMA_MIN:
             return model
     raise DegenerateMixtureError(
-        f"sigma_K stayed at or below {sigma_min:g} for {max_attempts} draws (last {last:.3e})",
+        f"sigma_K stayed at or below {_SIGMA_MIN:g} for {_MAX_ATTEMPTS} draws (last {last:.3e})",
         sigma=last,
     )
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateMixtureError
-from .tensor3 import apply_matrix3, robust_tpm, symmetrize
+from .tensor3 import robust_tpm, symmetrize
 
 _WEIGHT_CLAMP = 1e-6
 # the K-th retained eigenvalue of M2 must clear this for whitening
@@ -150,18 +150,6 @@ def mlr_fit(m2_blocks, m3_blocks, K: int, n_restarts=None, n_iters: int = 100,
     M3w = _share_sum(lambda X, y: estimate_whitened_m3(X, y, W), m3_blocks)
     if M3w is None:
         raise ValueError("both moment halves must be non-empty")
-    lams, vecs = robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
-    return _dewhiten(lams, vecs, P)
-
-
-def fit_from_moments(M2, M3, K: int, n_restarts=None, n_iters: int = 100,
-                     seed: int = 0) -> MixtureEstimate:
-    """The same whiten/decompose/dewhiten pipeline driven by externally supplied moments.
-
-    M3 is a symmetric (d, d, d) array; other shapes and asymmetric entries are rejected.
-    """
-    W, P = whitening_from_m2(M2, K)
-    M3w = apply_matrix3(M3, W)
     lams, vecs = robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
     return _dewhiten(lams, vecs, P)
 

@@ -37,16 +37,6 @@ def _check_symmetric(values) -> np.ndarray:
     return values
 
 
-def apply_matrix3(M, V) -> np.ndarray:
-    """Multilinear change of basis of a symmetric M: entry (a, b, c) = sum_ijk M_ijk V_ia V_jb V_kc."""
-    M = _check_symmetric(M)
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[0] != M.shape[0]:
-        raise ValueError(f"V must be (d, K) with d = {M.shape[0]}, got {V.shape}")
-    out = np.einsum("ijk,ia,jb,kc->abc", M, V, V, V, optimize=True)
-    return symmetrize(out)
-
-
 def _apply(mat2, U):
     # row r is M(I, u_r, u_r) for the tensor pre-reshaped to (d, d*d); the
     # stacked matmul calls the same per-row gemv as mat2 @ vector would

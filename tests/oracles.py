@@ -1,4 +1,4 @@
-"""Reference implementations used only by the tests: tensor operations, the per-item loops and the one-array fit."""
+"""Reference implementations used only by the tests: tensor operations, the per-item loops and the fits from given moments or one array."""
 
 from dataclasses import replace
 
@@ -6,6 +6,7 @@ import numpy as np
 
 from ldsmix import mlr
 from ldsmix.pipeline import build_stacked
+from ldsmix.tensor3 import symmetrize
 
 
 def outer3(v) -> np.ndarray:
@@ -46,6 +47,18 @@ def op_norm_estimate(M, n_restarts: int = 50, n_iters: int = 100, seed: int = 0)
                 break
         best = max(best, abs(contract(M, u, u, u)))
     return best
+
+
+def change_basis3(M, V) -> np.ndarray:
+    """Symmetrized multilinear change of basis: entry (a, b, c) = sum_ijk M_ijk V_ia V_jb V_kc."""
+    return symmetrize(np.einsum("ijk,ia,jb,kc->abc", M, V, V, V, optimize=True))
+
+
+def fit_from_moments(M2, M3, K, n_restarts=None, n_iters=100, seed=0):
+    """The package's whiten/decompose/dewhiten pipeline driven by given population moments M2 and M3."""
+    W, P = mlr.whitening_from_m2(M2, K)
+    lams, vecs = mlr.robust_tpm(change_basis3(M3, W), K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
+    return mlr._dewhiten(lams, vecs, P)
 
 
 # Per-item loops that the package's batched kernels replace. Each batched

@@ -5,20 +5,18 @@ line in the captured-output section of the pytest report.
 """
 
 import itertools
-import math
 import time
 
 import numpy as np
-import pytest
 
 from ldsmix.evaluate import SweepConfig, aggregate, match_components, run_sweep
 from ldsmix.lds import (NoiseConfig, TrajectoryDataset, generate_dataset,
                         impulse_response, random_mixture, random_stable_system)
-from ldsmix.mlr import estimate_m2, fit_from_moments
+from ldsmix.mlr import estimate_m2
 from ldsmix.pipeline import build_stacked, ho_kalman, mlds_fit, stack_times
 from ldsmix.tensor3 import robust_tpm, symmetrize
 from ldsmix.util import derive_seed
-from oracles import lag_windows_loop, outer3
+from oracles import fit_from_moments, lag_windows_loop, outer3
 
 
 def report(num: int, ok: bool, detail: str) -> None:

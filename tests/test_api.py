@@ -1,5 +1,6 @@
 """The package's public surface: growing or shrinking it is a deliberate edit here."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -12,18 +13,19 @@ from ldsmix import pipeline
 from ldsmix.lds import generate_dataset, random_mixture
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PACKAGE = Path(ldsmix.__file__).resolve().parent
 
 PUBLIC = [
     "DecompositionError", "DegenerateMixtureError", "InsufficientLengthError",
     "MatchResult", "MixtureEstimate", "MixtureModel", "NoiseConfig",
     "StateSpace", "SweepConfig", "SweepRecord", "TrajectoryDataset",
-    "__version__", "aggregate", "apply_matrix3", "baseline_error",
+    "__version__", "aggregate", "baseline_error",
     "build_stacked", "derive_seed", "estimate_m2", "estimate_text", "estimate_whitened_m3",
-    "fit_from_moments", "generate_dataset", "ho_kalman", "impulse_response", "load_dataset",
-    "load_estimate", "load_mixture", "load_records_csv", "match_components", "mixture_m2",
+    "generate_dataset", "ho_kalman", "impulse_response", "load_dataset",
+    "load_estimate", "load_mixture", "load_records_csv", "match_components",
     "mixture_sigma_k", "mlds_fit", "mlr_fit", "ols_markov", "random_mixture",
     "random_stable_system", "refine_first_moment", "robust_tpm", "rollout", "run_sweep",
-    "sample_mixture", "save_dataset", "save_estimate", "save_mixture", "simulate",
+    "save_dataset", "save_estimate", "save_mixture", "simulate",
     "stack_times", "symmetrize", "whitening_from_m2", "write_levels",
     "write_records_csv", "write_series",
 ]
@@ -31,7 +33,7 @@ PUBLIC = [
 
 def test_all_is_pinned():
     assert sorted(ldsmix.__all__) == PUBLIC
-    assert len(PUBLIC) == 51
+    assert len(PUBLIC) == 47
     assert len(set(ldsmix.__all__)) == len(ldsmix.__all__)
 
 
@@ -76,3 +78,29 @@ def test_fit_layers_are_traced():
         assert tracer.stats[layer]["calls"] >= 1, layer
     assert np.array_equal(traced.weights, plain.weights)
     assert np.array_equal(traced.coeffs, plain.coeffs)
+
+
+def test_no_dead_names():
+    # every module-level def, class and constant is read or re-exported
+    # somewhere in the package (tests and the benchmark do not count), and
+    # every module but __init__ uses each name it imports
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    used = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    used |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+    dead, unused = [], []
+    for module, tree in trees.items():
+        for node in tree.body:
+            # def and class names, plain assignment targets; None for anything else
+            targets = getattr(node, "targets", [getattr(node, "target", node)])
+            names = [getattr(t, "id", getattr(t, "name", None)) for t in targets]
+            dead += [f"{module}.{name}" for name in names
+                     if name and name not in used and not name[:2] == name[-2:] == "__"]
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        bound = [alias.asname or alias.name.split(".")[0] for node in imports
+                 if getattr(node, "module", None) != "__future__" for alias in node.names]
+        unused += [f"{module}: {name}" for name in bound if module != "__init__" and name not in loaded]
+    assert not dead, dead
+    assert not unused, unused

@@ -1,7 +1,6 @@
 """End-to-end tests for the command line interface via main(argv)."""
 
 import hashlib
-import math
 import os
 import subprocess
 import sys
@@ -69,6 +68,10 @@ def test_simulate_validation_errors(tmp_path, capsys):
     assert run("simulate", "--out", prefix, "--radius-min", "0.9", "--radius-max", "0.5") == 2
     assert run("simulate", "--out", prefix, "--seed", "-1") == 2
     assert run("simulate", "--N", "4", "--T", "6") == 2  # missing --out
+    capsys.readouterr()
+    assert run("simulate", "--out", prefix, "--K", "4", "--L", "3", "--N", "5", "--T", "8") == 2
+    assert capsys.readouterr().err == "error: K=4 exceeds the covariate dimension L*m=3\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_unwritable_path(tmp_path):
@@ -355,6 +358,15 @@ def test_eval_horizon_check_and_csv(tmp_path, capsys):
     assert lines[0] == "K,L,mean_error,mean_weight_error"
     assert len(lines) == 3
     assert lines[1] == lines[2] == "2,4,0,0"
+    # a sweep's CSV is another table: eval refuses to append its row to it
+    sweep = str(tmp_path / "sweep")
+    assert run("sweep", "--out", sweep, "--K", "1", "--n", "1", "--L", "2", "--N", "4", "--T", "8",
+               "--num-seeds", "1", "--methods", "baseline") == 0
+    before = open(sweep + ".csv", "rb").read()
+    capsys.readouterr()
+    assert run("eval", "--estimate", est_path, "--mixture", mix_path, "--csv", sweep + ".csv") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert open(sweep + ".csv", "rb").read() == before
 
 
 def test_sweep_grid_counts_and_files(tmp_path):
@@ -386,11 +398,15 @@ def test_sweep_levels_match_csv_medians(tmp_path):
         assert float(med) == pytest.approx(expect, rel=1e-8)
 
 
-def test_sweep_validation(tmp_path):
+def test_sweep_validation(tmp_path, capsys):
     prefix = str(tmp_path / "s")
     assert run("sweep", "--out", prefix, "--num-seeds", "0") == 2
     assert run("sweep", "--out", prefix, "--methods", "ridge") == 2
     assert run("sweep", "--K", "1") == 2  # missing --out
+    capsys.readouterr()
+    assert run("sweep", "--out", prefix, "--K", "4", "--L", "3", "--N", "5", "--T", "8") == 2
+    assert capsys.readouterr().err == "error: K=4 exceeds the covariate dimension L*m=3\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_merge(tmp_path):
@@ -431,3 +447,16 @@ def test_config_file_boolean_and_rejects(tmp_path, capsys):
     worse = tmp_path / "worse.cfg"
     worse.write_text("just a line\n")
     assert run("fit", "--data", data_path, "--out", out, "--config", str(worse)) == 2
+
+
+def test_config_file_boolean_typo(tmp_path, capsys):
+    data_path, _ = fit_workspace(tmp_path, N=30, T=14)
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("refine=ture\nL=4\nK=2\n")
+    out = str(tmp_path / "est.txt")
+    assert run("fit", "--data", data_path, "--out", out, "--config", str(cfg)) == 2
+    assert "config key 'refine'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    cfg.write_text("refine=OFF\nL=4\nK=2\n")  # the explicit flag beats 'OFF'
+    assert run("fit", "--data", data_path, "--out", out, "--config", str(cfg), "--refine") == 0
+    assert load_estimate(out)[0].weights.sum() == pytest.approx(1.0, abs=1e-12)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import ldsmix.evaluate
-from ldsmix.evaluate import (_OLS_ROW_BUDGET, CSV_HEADER, MatchResult, SweepConfig, SweepRecord,
+import ldsmix.lds
+from ldsmix.evaluate import (_OLS_ROW_BUDGET, CSV_HEADER, SweepConfig, SweepRecord,
                              aggregate, baseline_error, load_records_csv,
                              match_components, run_sweep, write_levels,
                              write_records_csv, write_series)
 from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset,
-                        generate_dataset, random_mixture, random_stable_system)
+                        generate_dataset, random_mixture)
 from ldsmix.mlr import MixtureEstimate
 from oracles import baseline_error_loop
 
@@ -241,8 +242,9 @@ def test_run_sweep_bookkeeping():
         assert pairs == sorted((s, N) for s in range(15) for N in (6, 9))
 
 
-def test_run_sweep_failed_mixture_records():
-    cfg = tiny_config(N_values=(6, 9), seeds=(0, 1), sigma_min=1e6)
+def test_run_sweep_failed_mixture_records(monkeypatch):
+    monkeypatch.setattr(ldsmix.lds, "_SIGMA_MIN", 1e6)
+    cfg = tiny_config(N_values=(6, 9), seeds=(0, 1))
     records = run_sweep(cfg, timer=fake_timer())
     assert len(records) == 8
     for r in records:

@@ -5,12 +5,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from ldsmix import lds
 from ldsmix.errors import DegenerateMixtureError
 from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace,
                         TrajectoryDataset, generate_dataset, impulse_response,
-                        load_dataset, load_mixture, mixture_m2, mixture_sigma_k,
+                        load_dataset, load_mixture, mixture_sigma_k,
                         random_mixture, random_stable_system, rollout,
-                        sample_mixture, save_dataset, save_mixture, simulate)
+                        save_dataset, save_mixture, simulate)
 from ldsmix.util import derive_seed
 from oracles import dataset_text_loop, generate_dataset_loop, simulate_loop
 
@@ -169,26 +170,28 @@ def test_mixture_m2_oracle():
     model = two_scalar_mixture()
     G = model.markov_matrix(3)
     expected = 0.6 * np.outer(G[0], G[0]) + 0.4 * np.outer(G[1], G[1])
-    assert np.allclose(mixture_m2(model, 3), expected, atol=1e-14)
     ev = np.linalg.eigvalsh(expected)
     assert mixture_sigma_k(model, 3) == pytest.approx(ev[-2], abs=1e-12)
+    with pytest.raises(ValueError, match=r"K=2 exceeds the covariate dimension L\*m=1"):
+        mixture_sigma_k(model, 1)
 
 
 def test_sample_mixture_single_component():
     model = MixtureModel(np.array([1.0]), [scalar_system(0.3)])
-    assert np.array_equal(sample_mixture(model, 20, seed=0), np.zeros(20, dtype=int))
+    labels = generate_dataset(model, 20, 1, seed=0).labels
+    assert np.array_equal(labels, np.zeros(20, dtype=int))
 
 
 def test_sample_mixture_frequencies():
     model = two_scalar_mixture(0.5)
-    labels = sample_mixture(model, 100_000, seed=1)
+    labels = generate_dataset(model, 100_000, 1, seed=1).labels
     assert abs(np.mean(labels == 0) - 0.5) < 0.01
 
 
 def test_sample_mixture_deterministic():
     model = two_scalar_mixture()
-    assert np.array_equal(sample_mixture(model, 50, seed=3),
-                          sample_mixture(model, 50, seed=3))
+    assert np.array_equal(generate_dataset(model, 50, 1, seed=3).labels,
+                          generate_dataset(model, 50, 1, seed=3).labels)
 
 
 def test_rollout_all_zero():
@@ -348,9 +351,11 @@ def test_random_mixture_deterministic():
         assert np.array_equal(sa.A, sb.A)
 
 
-def test_random_mixture_degenerate_raises():
-    with pytest.raises(DegenerateMixtureError):
-        random_mixture(2, 2, 1, 5, sigma_min=1e6, max_attempts=3, seed=0)
+def test_random_mixture_degenerate_raises(monkeypatch):
+    monkeypatch.setattr(lds, "_SIGMA_MIN", 1e6)
+    monkeypatch.setattr(lds, "_MAX_ATTEMPTS", 3)
+    with pytest.raises(DegenerateMixtureError, match="for 3 draws"):
+        random_mixture(2, 2, 1, 5, seed=0)
 
 
 def test_dataset_file_round_trip(tmp_path):

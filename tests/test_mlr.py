@@ -5,10 +5,9 @@ import pytest
 
 from ldsmix.errors import DegenerateMixtureError
 from ldsmix.mlr import (MixtureEstimate, estimate_m2, estimate_whitened_m3,
-                        fit_from_moments, mlr_fit, refine_first_moment,
-                        whitening_from_m2)
-from ldsmix.tensor3 import apply_matrix3, symmetrize
-from oracles import op_norm_estimate, outer3
+                        mlr_fit, refine_first_moment, whitening_from_m2)
+from ldsmix.tensor3 import symmetrize
+from oracles import change_basis3, fit_from_moments, op_norm_estimate, outer3
 
 
 def halves(X, y):
@@ -171,7 +170,7 @@ def test_moment_errors_shrink_like_root_n():
     weights = np.array([0.6, 0.4])
     M2, M3 = exact_moments(betas, weights)
     W, _ = whitening_from_m2(M2, 2)
-    target = apply_matrix3(M3, W)
+    target = change_basis3(M3, W)
     r2, r3 = [], []
     for seed in range(20):
         errs2, errs3 = [], []

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ldsmix.errors import DecompositionError
-from ldsmix.mlr import fit_from_moments
-from ldsmix.tensor3 import apply_matrix3, robust_tpm, symmetrize
+from ldsmix.tensor3 import robust_tpm, symmetrize
 from ldsmix.util import derive_seed
 from oracles import contract, op_norm_estimate, outer3, power_loop, power_update, robust_tpm_loop
 
@@ -21,16 +20,6 @@ def contract_oracle(values, a, b, c):
             for k in range(d):
                 total += values[i, j, k] * a[i] * b[j] * c[k]
     return total
-
-
-def apply_oracle(values, V):
-    d, K = V.shape
-    out = np.zeros((K, K, K))
-    for a in range(K):
-        for b in range(K):
-            for c in range(K):
-                out[a, b, c] = contract_oracle(values, V[:, a], V[:, b], V[:, c])
-    return out
 
 
 def random_sym(rng, d):
@@ -78,8 +67,6 @@ def test_tensor_inputs_reject_bad_shape():
     for shape in ((2, 3, 2), (2, 2), (0, 0, 0)):
         with pytest.raises(ValueError, match="expected a"):
             robust_tpm(np.zeros(shape), 1)
-        with pytest.raises(ValueError, match="expected a"):
-            fit_from_moments(np.eye(2), np.zeros(shape), 1)
 
 
 def test_tensor_inputs_reject_asymmetric():
@@ -87,8 +74,6 @@ def test_tensor_inputs_reject_asymmetric():
     values[0, 1, 0] = 1.0
     with pytest.raises(ValueError, match="asymmetric"):
         robust_tpm(values, 1)
-    with pytest.raises(ValueError, match="asymmetric"):
-        fit_from_moments(np.eye(2), values, 1)
 
 
 def test_tensor_inputs_reject_non_finite():
@@ -97,8 +82,6 @@ def test_tensor_inputs_reject_non_finite():
         values[1, 1, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             robust_tpm(values, 1)
-        with pytest.raises(ValueError, match="finite"):
-            fit_from_moments(np.eye(2), values, 1)
 
 
 def test_symmetrize_fixes_random_tensor():
@@ -153,45 +136,14 @@ def test_contract_multilinearity():
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_apply_matrix3_identity():
-    t = random_sym(np.random.default_rng(2), 4)
-    out = apply_matrix3(t, np.eye(4))
-    assert np.allclose(out, t, atol=1e-12)
-
-
-def test_apply_matrix3_rank1():
-    rng = np.random.default_rng(13)
-    v = rng.normal(size=4)
-    V = rng.normal(size=(4, 2))
-    out = apply_matrix3(outer3(v), V)
-    assert np.allclose(out, outer3(V.T @ v), atol=1e-12)
-
-
-def test_apply_matrix3_matches_triple_loop():
-    rng = np.random.default_rng(29)
-    for _ in range(5):
-        t = random_sym(rng, 4)
-        V = rng.normal(size=(4, 2))
-        out = apply_matrix3(t, V)
-        assert np.allclose(out, apply_oracle(t, V), atol=1e-12)
-
-
-def test_apply_matrix3_dimension_mismatch():
-    t = random_sym(np.random.default_rng(1), 3)
-    with pytest.raises(ValueError):
-        apply_matrix3(t, np.ones((4, 2)))
-
-
 def test_symmetry_closure():
-    # outer3, apply_matrix3 and deflation land inside the symmetry check that
-    # apply_matrix3 runs on its input
+    # outer3 and deflation land inside the symmetry check that robust_tpm
+    # runs on its input
     rng = np.random.default_rng(31)
     for _ in range(10):
         t = random_sym(rng, 5)
-        V = rng.normal(size=(5, 3))
-        apply_matrix3(apply_matrix3(t, V), np.eye(3))
         v = unit(rng.normal(size=5))
-        apply_matrix3(t - 0.3 * outer3(v), np.eye(5))
+        robust_tpm(t - 0.3 * outer3(v), 1, n_restarts=1, n_iters=1)
 
 
 def test_power_update_rank1_fixed_point():
