@@ -132,10 +132,10 @@ def _config_bool(text):
 
 def _apply_config(sub, cfg):
     """Make a config dict the subcommand's defaults, so flags given on the command line win."""
-    actions = {a.dest: a for a in sub._actions if a.option_strings}
+    actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
     values = {}
     for key, raw in cfg.items():
-        if key not in actions or key == "config":
+        if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
         action = actions[key]
         convert = _config_bool if isinstance(action, argparse._StoreTrueAction) else action.type
@@ -250,6 +250,8 @@ def cmd_sweep(args) -> int:
         _check(N >= 1, "--N entries must be >= 1")
     for T in args.T:
         _check(T >= 1, "--T entries must be >= 1")
+    for flag, values in (("--N", args.N), ("--T", args.T), ("--methods", args.methods)):
+        _check(len(set(values)) == len(values), f"{flag} has duplicate entries: {','.join(map(str, values))}")
     cfg = SweepConfig(K=args.K, n=args.n, m=args.m, L=args.L,
                       N_values=tuple(args.N), T_values=tuple(args.T),
                       seeds=tuple(range(args.seed, args.seed + args.num_seeds)),

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -15,7 +18,6 @@ from .mlr import MixtureEstimate
 from .pipeline import mlds_fit, ols_markov, trajectory_blocks
 from .util import atomic_write_text, derive_seed
 
-METHODS = ("tensor", "tensor_refine", "baseline")
 CSV_HEADER = "N,T,K,L,seed,method,error,weight_error,wall_ms,status"
 # lag rows per batched ols_markov call in baseline_error; small, because one
 # call over every trajectory raised the study sweep's peak RSS by half
@@ -110,6 +112,108 @@ class SweepRecord:
     status: str
 
 
+def _tensor_errors(cfg, model, data, fit_seed, refine=False):
+    est = mlds_fit(data, cfg.L, cfg.K, sigma_u=cfg.noise.sigma_u, n_restarts=cfg.n_restarts,
+                   n_iters=cfg.n_iters, seed=fit_seed, refine=refine)
+    mr = match_components(est, model, cfg.L)
+    return mr.mean_error, mr.mean_weight_error
+
+
+def _baseline_errors(cfg, model, data, fit_seed):
+    return baseline_error(data, model, cfg.L), math.nan
+
+
+# method -> f(cfg, model, data, fit_seed) -> (error, weight_error). The entries look
+# mlds_fit and baseline_error up by name when called, so patched bindings apply.
+_METHOD_ERRORS = {
+    "tensor": _tensor_errors,
+    "tensor_refine": partial(_tensor_errors, refine=True),
+    "baseline": _baseline_errors,
+}
+METHODS = tuple(_METHOD_ERRORS)
+
+
+def _seed_records(cfg: SweepConfig, seed: int, timer):
+    """The records of one seed's cells, in (N, T, method) order."""
+    try:
+        model = random_mixture(cfg.K, cfg.n, cfg.m, cfg.L, cfg.radius_range, seed=seed)
+    except DegenerateMixtureError as exc:
+        status = f"failed:{type(exc).__name__}"
+        return [SweepRecord(N, T, cfg.K, cfg.L, seed, meth, math.nan, math.nan, 0.0, status)
+                for N in cfg.N_values for T in cfg.T_values for meth in cfg.methods]
+    records = []
+    for N in cfg.N_values:
+        for T in cfg.T_values:
+            data = generate_dataset(model, N, T, cfg.noise, derive_seed(seed, N, T, 1))
+            fit_seed = derive_seed(seed, N, T, 2)
+            for meth in cfg.methods:
+                t0 = timer()
+                try:
+                    err, werr = _METHOD_ERRORS[meth](cfg, model, data, fit_seed)
+                    status = "ok"
+                except (DegenerateMixtureError, DecompositionError,
+                        InsufficientLengthError, np.linalg.LinAlgError) as exc:
+                    err, werr, status = math.nan, math.nan, f"failed:{type(exc).__name__}"
+                wall = (timer() - t0) * 1000.0
+                records.append(SweepRecord(N, T, cfg.K, cfg.L, seed, meth,
+                                           float(err), float(werr), float(wall), status))
+    return records
+
+
+def _fork_seeds(cfg: SweepConfig, seeds, timer):
+    """Fork a child that runs seeds; return (its pid, the read end of its pipe).
+
+    The child pickles ("ok", records) or ("error", exception) into the pipe and
+    leaves by os._exit, exit status 0 only once the outcome is written. It never
+    returns into the caller, whose teardown (pytest's, a tracer's) must run once.
+    """
+    parent = os.getpid()
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        try:
+            records = []
+            for seed in seeds:
+                if os.getppid() != parent:  # orphaned: nobody will read the records
+                    os._exit(1)
+                records += _seed_records(cfg, seed, timer)
+            outcome = ("ok", records)
+        except Exception as exc:
+            outcome = ("error", exc)
+        with open(w, "wb") as fh:
+            pickle.dump(outcome, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pid: int, fd: int, seeds):
+    """The records a forked child sent, or its exception re-raised; reaps the child."""
+    try:
+        with open(fd, "rb") as fh:
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"sweep worker for seeds {list(seeds)} exited with status {code} "
+                           "without sending its records")
+    kind, value = pickle.loads(payload)
+    if kind == "error":
+        raise value
+    return value
+
+
 def run_sweep(cfg: SweepConfig, timer=time.perf_counter):
     """Run every (seed, N, T, method) cell; failures become records, not exceptions.
 
@@ -117,47 +221,47 @@ def run_sweep(cfg: SweepConfig, timer=time.perf_counter):
     across N or T are paired), while dataset and fit streams also mix in
     (N, T), keeping cells independent and order free. A custom timer can be
     injected to make the wall_ms column deterministic.
+
+    The seeds are split into W contiguous runs, W being the number of CPUs in
+    the process's affinity mask but at most the number of seeds (1 where
+    os.fork or os.sched_getaffinity is missing). Each run but the last goes to
+    a forked child; the calling process runs the last one, and any run whose
+    fork failed. Records come back in seed order, as from one process. An
+    exception in a child is re-raised here with its type and message, and no
+    child outlives the call.
     """
     for meth in cfg.methods:
         if meth not in METHODS:
             raise ValueError(f"unknown method {meth!r}; choose from {METHODS}")
     if not cfg.seeds or not cfg.N_values or not cfg.T_values:
         raise ValueError("seeds, N_values and T_values must be non-empty")
-    records = []
-    for seed in cfg.seeds:
-        try:
-            model = random_mixture(cfg.K, cfg.n, cfg.m, cfg.L, cfg.radius_range, seed=seed)
-        except DegenerateMixtureError as exc:
-            status = f"failed:{type(exc).__name__}"
-            for N in cfg.N_values:
-                for T in cfg.T_values:
-                    for meth in cfg.methods:
-                        records.append(SweepRecord(N, T, cfg.K, cfg.L, seed, meth,
-                                                   math.nan, math.nan, 0.0, status))
-            continue
-        for N in cfg.N_values:
-            for T in cfg.T_values:
-                data = generate_dataset(model, N, T, cfg.noise, derive_seed(seed, N, T, 1))
-                fit_seed = derive_seed(seed, N, T, 2)
-                for meth in cfg.methods:
-                    t0 = timer()
-                    try:
-                        if meth == "baseline":
-                            err, werr = baseline_error(data, model, cfg.L), math.nan
-                        else:
-                            est = mlds_fit(data, cfg.L, cfg.K, sigma_u=cfg.noise.sigma_u,
-                                           n_restarts=cfg.n_restarts, n_iters=cfg.n_iters, seed=fit_seed,
-                                           refine=(meth == "tensor_refine"))
-                            mr = match_components(est, model, cfg.L)
-                            err, werr = mr.mean_error, mr.mean_weight_error
-                        status = "ok"
-                    except (DegenerateMixtureError, DecompositionError,
-                            InsufficientLengthError, np.linalg.LinAlgError) as exc:
-                        err, werr, status = math.nan, math.nan, f"failed:{type(exc).__name__}"
-                    wall = (timer() - t0) * 1000.0
-                    records.append(SweepRecord(N, T, cfg.K, cfg.L, seed, meth,
-                                               float(err), float(werr), float(wall), status))
-    return records
+    for name in ("seeds", "N_values", "T_values", "methods"):
+        values = getattr(cfg, name)
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} has duplicate entries: {tuple(values)}")
+    seeds = tuple(cfg.seeds)
+    W = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        W = min(len(os.sched_getaffinity(0)), len(seeds))
+    runs = [seeds[i * len(seeds) // W:(i + 1) * len(seeds) // W] for i in range(W)]
+    pending = {}  # run index -> (pid, read end) of a forked child not yet reaped
+    try:
+        for i, run in enumerate(runs[:-1]):
+            try:
+                pending[i] = _fork_seeds(cfg, run, timer)
+            except OSError:  # no process to spare: the caller runs these seeds too
+                pass
+        parts = [None if i in pending else
+                 [rec for seed in run for rec in _seed_records(cfg, seed, timer)]
+                 for i, run in enumerate(runs)]
+        for i in list(pending):
+            parts[i] = _collect(*pending.pop(i), runs[i])
+    finally:
+        for pid, fd in pending.values():  # left by an error: stop and reap them
+            os.kill(pid, 9)  # SIGKILL; importing signal would add ~50 KB to every ldsmix process
+            os.close(fd)
+            os.waitpid(pid, 0)
+    return [rec for part in parts for rec in part]
 
 
 def _f9(x) -> str:

@@ -406,6 +406,9 @@ def test_sweep_validation(tmp_path, capsys):
     capsys.readouterr()
     assert run("sweep", "--out", prefix, "--K", "4", "--L", "3", "--N", "5", "--T", "8") == 2
     assert capsys.readouterr().err == "error: K=4 exceeds the covariate dimension L*m=3\n"
+    for flag, value in (("--N", "50,50"), ("--T", "8,12,8"), ("--methods", "tensor,tensor")):
+        assert run("sweep", "--out", prefix, flag, value) == 2
+        assert capsys.readouterr().err == f"error: {flag} has duplicate entries: {value}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -447,6 +450,17 @@ def test_config_file_boolean_and_rejects(tmp_path, capsys):
     worse = tmp_path / "worse.cfg"
     worse.write_text("just a line\n")
     assert run("fit", "--data", data_path, "--out", out, "--config", str(worse)) == 2
+
+
+def test_config_file_rejects_help_key(tmp_path, capsys):
+    # argparse's -h/--help action has dest 'help', which is not a setting
+    model, mix_path = eval_workspace(tmp_path)
+    est_path = str(tmp_path / "est.txt")
+    save_estimate(est_path, MixtureEstimate(model.weights, model.markov_matrix(4)), 4, 1)
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("help=1\n")
+    assert run("eval", "--estimate", est_path, "--mixture", mix_path, "--config", str(cfg)) == 2
+    assert capsys.readouterr() == ("", "error: unknown config key 'help'\n")
 
 
 def test_config_file_boolean_typo(tmp_path, capsys):

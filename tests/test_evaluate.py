@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import ldsmix.evaluate
 import ldsmix.lds
+from ldsmix.errors import DecompositionError, DegenerateMixtureError
 from ldsmix.evaluate import (_OLS_ROW_BUDGET, CSV_HEADER, SweepConfig, SweepRecord,
                              aggregate, baseline_error, load_records_csv,
                              match_components, run_sweep, write_levels,
@@ -16,6 +18,7 @@ from ldsmix.evaluate import (_OLS_ROW_BUDGET, CSV_HEADER, SweepConfig, SweepReco
 from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset,
                         generate_dataset, random_mixture)
 from ldsmix.mlr import MixtureEstimate
+from ldsmix.util import derive_seed
 from oracles import baseline_error_loop
 
 
@@ -242,10 +245,36 @@ def test_run_sweep_bookkeeping():
         assert pairs == sorted((s, N) for s in range(15) for N in (6, 9))
 
 
+def set_cpus(monkeypatch, count):
+    """Make run_sweep see `count` CPUs in the affinity mask, so it forks count - 1 workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_run_sweep_failed_mixture_records(monkeypatch):
+    # the patched module constant reaches the forked worker of seed 0
     monkeypatch.setattr(ldsmix.lds, "_SIGMA_MIN", 1e6)
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
     cfg = tiny_config(N_values=(6, 9), seeds=(0, 1))
     records = run_sweep(cfg, timer=fake_timer())
+    assert len(forks) == 1
     assert len(records) == 8
     for r in records:
         assert r.status == "failed:DegenerateMixtureError"
@@ -257,6 +286,131 @@ def test_run_sweep_validation():
         run_sweep(tiny_config(methods=("tensor", "ridge")))
     with pytest.raises(ValueError):
         run_sweep(tiny_config(seeds=()))
+
+
+@pytest.mark.parametrize("field,values", [("N_values", (6, 9, 6)), ("T_values", (8, 8)),
+                                          ("methods", ("tensor", "tensor")), ("seeds", (0, 1, 0))])
+def test_run_sweep_rejects_duplicates(field, values):
+    # a repeated entry would write identical records that aggregate() counts as replicates
+    with pytest.raises(ValueError) as exc:
+        run_sweep(tiny_config(**{field: values}))
+    assert str(exc.value) == f"{field} has duplicate entries: {values}"
+
+
+def forked_grid(monkeypatch):
+    """A 4-seed grid with a degenerate seed (2) and one failing tensor fit (seed 1, N=9)."""
+    real_mixture, real_fit = ldsmix.evaluate.random_mixture, ldsmix.evaluate.mlds_fit
+
+    def mixture(*args, seed, **kw):
+        if seed == 2:
+            raise DegenerateMixtureError("forced degenerate mixture")
+        return real_mixture(*args, seed=seed, **kw)
+
+    def fit(data, *args, seed, **kw):
+        if seed == derive_seed(1, 9, 8, 2):
+            raise DecompositionError(0, "forced decomposition failure")
+        return real_fit(data, *args, seed=seed, **kw)
+
+    monkeypatch.setattr(ldsmix.evaluate, "random_mixture", mixture)
+    monkeypatch.setattr(ldsmix.evaluate, "mlds_fit", fit)
+    return tiny_config(N_values=(6, 9), seeds=(0, 1, 2, 3),
+                       methods=("tensor", "tensor_refine", "baseline"))
+
+
+def test_run_sweep_workers_write_identical_csv(tmp_path, monkeypatch):
+    cfg = forked_grid(monkeypatch)
+    forks = count_forks(monkeypatch)
+    out = {}
+    for cpus in (1, 3):
+        set_cpus(monkeypatch, cpus)
+        out[cpus] = tmp_path / f"w{cpus}.csv"
+        write_records_csv(out[cpus], run_sweep(cfg, timer=fake_timer()))
+        assert_no_children()
+    assert forks == [os.getpid()] * 2  # none for one CPU, two for three
+    assert out[1].read_bytes() == out[3].read_bytes()
+    records = load_records_csv(out[3])
+    assert [r.seed for r in records] == [s for s in (0, 1, 2, 3) for _ in range(6)]
+    assert {r.status for r in records if r.seed == 2} == {"failed:DegenerateMixtureError"}
+    assert [(r.N, r.method) for r in records if r.status == "failed:DecompositionError"] == \
+        [(9, "tensor"), (9, "tensor_refine")]
+
+
+@pytest.mark.parametrize("cpus,seeds", [(1, (0, 1, 2)), (3, (0,))])
+def test_run_sweep_one_worker_never_forks(monkeypatch, cpus, seeds):
+    set_cpus(monkeypatch, cpus)
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert len(run_sweep(tiny_config(seeds=seeds), timer=fake_timer())) == 2 * len(seeds)
+
+
+def test_run_sweep_failed_fork_runs_in_process(tmp_path, monkeypatch):
+    cfg = tiny_config(seeds=(0, 1, 2))
+    serial, failed = tmp_path / "serial.csv", tmp_path / "failed.csv"
+    write_records_csv(serial, run_sweep(cfg, timer=fake_timer()))
+    set_cpus(monkeypatch, 3)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    write_records_csv(failed, run_sweep(cfg, timer=fake_timer()))
+    assert failed.read_bytes() == serial.read_bytes()
+
+
+def test_run_sweep_child_exception_reaches_parent(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    real = ldsmix.evaluate.random_mixture
+    seen = []
+
+    def mixture(*args, seed, **kw):
+        if os.getpid() == parent:
+            seen.append(seed)
+        if seed == 0:
+            raise ArithmeticError("seed 0 broke")
+        return real(*args, seed=seed, **kw)
+
+    monkeypatch.setattr(ldsmix.evaluate, "random_mixture", mixture)
+    with pytest.raises(ArithmeticError) as exc:
+        run_sweep(tiny_config(seeds=(0, 1)), timer=fake_timer())
+    assert type(exc.value) is ArithmeticError and str(exc.value) == "seed 0 broke"
+    assert seen == [1]  # seed 0 ran in the child
+    assert_no_children()
+
+
+def test_run_sweep_silent_child_death(monkeypatch):
+    set_cpus(monkeypatch, 3)
+    real = ldsmix.evaluate.random_mixture
+
+    def mixture(*args, seed, **kw):
+        if seed == 0:
+            os._exit(7)
+        return real(*args, seed=seed, **kw)
+
+    monkeypatch.setattr(ldsmix.evaluate, "random_mixture", mixture)
+    with pytest.raises(RuntimeError) as exc:
+        run_sweep(tiny_config(seeds=(0, 1, 2, 3)), timer=fake_timer())
+    assert str(exc.value) == "sweep worker for seeds [0] exited with status 7 without sending its records"
+    assert_no_children()  # the worker of seed 1, still unread, was stopped and reaped too
+
+
+def test_run_sweep_parent_error_reaps_workers(monkeypatch):
+    set_cpus(monkeypatch, 3)
+    parent = os.getpid()
+    real = ldsmix.evaluate.random_mixture
+
+    def mixture(*args, seed, **kw):
+        if os.getpid() == parent:
+            raise KeyError("parent share failed")
+        return real(*args, seed=seed, **kw)
+
+    monkeypatch.setattr(ldsmix.evaluate, "random_mixture", mixture)
+    with pytest.raises(KeyError):
+        run_sweep(tiny_config(seeds=(0, 1, 2)), timer=fake_timer())
+    assert_no_children()
 
 
 def test_run_sweep_error_trend_single_component():
