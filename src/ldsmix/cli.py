@@ -53,8 +53,9 @@ def _add_common(sub, flags):
     if "radius" in flags:
         sub.add_argument("--radius-min", type=float, default=0.6)
         sub.add_argument("--radius-max", type=float, default=0.9)
-    if "noise" in flags:
+    if "sigma_u" in flags:
         sub.add_argument("--sigma-u", type=float, default=1.0, help="input standard deviation")
+    if "noise" in flags:
         sub.add_argument("--sigma-w1", type=float, default=0.01, help="process noise standard deviation")
         sub.add_argument("--sigma-w2", type=float, default=0.01, help="measurement noise standard deviation")
     if "seed" in flags:
@@ -76,7 +77,7 @@ def _build_parser():
     sim.add_argument("--N", type=int, default=1000, help="number of trajectories")
     sim.add_argument("--T", type=int, default=96, help="trajectory length")
     sim.add_argument("--out", default=None, help="output prefix; writes <out>.mixture.txt and <out>.dataset.txt")
-    _add_common(sim, ("K", "n", "m", "L", "radius", "noise", "seed"))
+    _add_common(sim, ("K", "n", "m", "L", "radius", "sigma_u", "noise", "seed"))
     sim.set_defaults(func=cmd_simulate)
 
     fit = subs.add_parser("fit", allow_abbrev=False, help="fit a mixture estimate to a dataset file")
@@ -85,7 +86,7 @@ def _build_parser():
     fit.add_argument("--refine", action="store_true", help="refine weights against the first moment")
     fit.add_argument("--ho-kalman", type=int, default=None, metavar="ORDER",
                      help="append order-ORDER state-space realizations per component")
-    _add_common(fit, ("K", "L", "noise", "seed", "tpm"))
+    _add_common(fit, ("K", "L", "sigma_u", "seed", "tpm"))
     fit.set_defaults(func=cmd_fit)
 
     ev = subs.add_parser("eval", allow_abbrev=False, help="score an estimate file against a true mixture file")
@@ -103,7 +104,7 @@ def _build_parser():
     sw.add_argument("--methods", type=_str_list, default=("tensor", "baseline"),
                     help="comma-separated subset of tensor,tensor_refine,baseline")
     sw.add_argument("--out", default=None, help="output prefix; writes <out>.csv, <out>_series.txt, <out>_levels.txt")
-    _add_common(sw, ("K", "n", "m", "L", "radius", "noise", "seed", "tpm"))
+    _add_common(sw, ("K", "n", "m", "L", "radius", "sigma_u", "noise", "seed", "tpm"))
     sw.set_defaults(func=cmd_sweep)
 
     return parser, subs.choices
@@ -118,8 +119,10 @@ def _load_config(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in cfg:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            cfg[key] = val
     return cfg
 
 

@@ -8,6 +8,9 @@ class DecompositionError(RuntimeError):
         super().__init__(message)
         self.round_index = round_index
 
+    def __reduce__(self):  # the default rebuilds cls(*self.args) = cls(message), a TypeError
+        return type(self), (self.round_index, self.args[0]), self.__dict__
+
 
 class DegenerateMixtureError(RuntimeError):
     """The second-moment matrix is numerically rank deficient for the requested K."""

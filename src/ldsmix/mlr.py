@@ -102,10 +102,15 @@ def estimate_whitened_m3(X, y, W) -> np.ndarray:
     return symmetrize(cube - corr)
 
 
-def _dewhiten(lams, vecs, P) -> MixtureEstimate:
-    # each eigenvalue estimates 1/sqrt(p); flip negative signs into the vector,
-    # clamp tiny values (heavy noise) and flag the result as low confidence
-    K = lams.shape[0]
+def mlr_fit(M3w, P, K: int, n_restarts=None, n_iters: int = 100, seed: int = 0) -> MixtureEstimate:
+    """Decompose a whitened third moment and undo the whitening.
+
+    M3w is the (K, K, K) third moment in the whitened basis and P the (d, K)
+    map from whitening_from_m2 that undoes it. Each tensor eigenvalue
+    estimates 1/sqrt(p); a negative one flips its sign into the vector, and
+    one below 1e-6 (heavy noise) is clamped and flagged as low confidence.
+    """
+    lams, vecs = robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
     weights = np.empty(K)
     coeffs = np.empty((K, P.shape[0]))
     notes = []
@@ -121,51 +126,14 @@ def _dewhiten(lams, vecs, P) -> MixtureEstimate:
     return MixtureEstimate(weights, coeffs, tuple(notes))
 
 
-def _share_sum(stage, blocks):
-    # sum of share * stage(X, y) over (X, y, share) row blocks, None for no
-    # blocks; a lone block has share 1.0 and so gives stage(X, y) bit for bit
-    total = None
-    for X, y, share in blocks:
-        term = share * stage(X, y)
-        if total is None:
-            total = term
-        else:
-            total += term
-    return total
+def refine_first_moment(est: MixtureEstimate, m1) -> MixtureEstimate:
+    """Re-solve the weights against the empirical first moment m1 = X'y / n, coefficients fixed.
 
-
-def mlr_fit(m2_blocks, m3_blocks, K: int, n_restarts=None, n_iters: int = 100,
-            seed: int = 0) -> MixtureEstimate:
-    """Whiten the second moment, decompose the whitened third moment, undo the whitening.
-
-    m2_blocks and m3_blocks yield the (X, y, share) row blocks of the two
-    moment halves, share being the block's fraction of its half's rows. Each
-    moment is the share-weighted sum of its per-block estimates, and the
-    blocks are taken one at a time, the M3 ones only after whitening.
+    Minimizes ||sum_k p_k b_k - m1|| subject to sum_k p_k = 1 through the KKT
+    system, then clamps the weights at 1e-6 and renormalizes. When the
+    coefficient matrix is rank deficient the input is returned unchanged,
+    with a note appended.
     """
-    M2 = _share_sum(estimate_m2, m2_blocks)
-    if M2 is None:
-        raise ValueError("both moment halves must be non-empty")
-    W, P = whitening_from_m2(M2, K)
-    M3w = _share_sum(lambda X, y: estimate_whitened_m3(X, y, W), m3_blocks)
-    if M3w is None:
-        raise ValueError("both moment halves must be non-empty")
-    lams, vecs = robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
-    return _dewhiten(lams, vecs, P)
-
-
-def refine_first_moment(est: MixtureEstimate, blocks) -> MixtureEstimate:
-    """Re-solve the weights against the empirical first moment X'y / n, coefficients fixed.
-
-    blocks yields (X, y, share) row blocks as in mlr_fit, and m1 is the
-    share-weighted sum of their X'y / n. Minimizes ||sum_k p_k b_k - m1||
-    subject to sum_k p_k = 1 through the KKT system, then clamps the weights
-    at 1e-6 and renormalizes. When the coefficient matrix is rank deficient
-    the input is returned unchanged, with a note appended.
-    """
-    m1 = _share_sum(lambda X, y: X.T @ y / y.shape[0], blocks)
-    if m1 is None:
-        raise ValueError("refine_first_moment needs at least one row block")
     B = est.coeffs  # (K, d)
     K = est.K
     if np.linalg.matrix_rank(B) < K:

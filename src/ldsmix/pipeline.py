@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import InsufficientLengthError
 from .lds import StateSpace, TrajectoryDataset
-from .mlr import MixtureEstimate, mlr_fit, refine_first_moment
+from .mlr import (MixtureEstimate, estimate_m2, estimate_whitened_m3, mlr_fit, refine_first_moment,
+                  whitening_from_m2)
 from .util import atomic_write_text, fmt, format_rows, parse_rows, parse_weight, read_text
 
 # lag rows per block of the moment passes in mlds_fit: at N=1e4, T=96, L=7
@@ -64,23 +65,27 @@ def trajectory_blocks(start: int, stop: int, rows_per_trajectory: int, budget: i
         yield a, min(a + step, stop)
 
 
-def _row_blocks(dataset, L, sigma_u, start, stop):
-    # the stacked (X, y, share) of trajectories [start, stop) in blocks of at
-    # most _ROW_BUDGET rows; share is the block's fraction of the range's rows
+def _block_sum(stage, dataset, L, sigma_u, start, stop):
+    # the sum of share * stage(X, y) over the stacked (X, y) of trajectories
+    # [start, stop) in blocks of at most _ROW_BUDGET rows, share being the
+    # block's fraction of the range's rows; a lone block has share 1.0 and so
+    # gives stage(X, y) bit for bit
+    total = None
     for a, b in trajectory_blocks(start, stop, dataset.T // L, _ROW_BUDGET):
-        X, y = build_stacked(dataset, L, sigma_u, a, b)
-        yield X, y, (b - a) / (stop - start)
+        term = (b - a) / (stop - start) * stage(*build_stacked(dataset, L, sigma_u, a, b))
+        total = term if total is None else total + term
+    return total
 
 
 def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
              n_restarts=None, n_iters: int = 100, seed: int = 0, refine: bool = False) -> MixtureEstimate:
     """Estimate K horizon-L Markov vectors and mixture weights from unlabeled trajectories.
 
-    The rows of the first ceil(N/2) trajectories feed M2 and the rest feed
-    M3. With refine=True the weights are then re-solved against the empirical
-    first moment of all rows (refine_first_moment); the coefficients are
-    unchanged. Each pass stacks its trajectories in blocks of at most
-    _ROW_BUDGET rows, so the stacked X of all trajectories never exists.
+    The rows of the first ceil(N/2) trajectories feed M2 and the rest the
+    whitened M3. With refine=True the weights are then re-solved against the
+    first moment of all rows (refine_first_moment). Each moment sums its
+    blocks of at most _ROW_BUDGET rows, weighted by row share, so the stacked
+    X of all trajectories never exists; the M3 blocks come after whitening.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -90,10 +95,11 @@ def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
     N, n2 = dataset.N, (dataset.N + 1) // 2
     if n2 == N:
         raise ValueError("both moment halves must be non-empty")
-    est = mlr_fit(_row_blocks(dataset, L, sigma_u, 0, n2), _row_blocks(dataset, L, sigma_u, n2, N), K,
-                  n_restarts=n_restarts, n_iters=n_iters, seed=seed)
+    W, P = whitening_from_m2(_block_sum(estimate_m2, dataset, L, sigma_u, 0, n2), K)
+    M3w = _block_sum(lambda X, y: estimate_whitened_m3(X, y, W), dataset, L, sigma_u, n2, N)
+    est = mlr_fit(M3w, P, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
     if refine:
-        est = refine_first_moment(est, _row_blocks(dataset, L, sigma_u, 0, N))
+        est = refine_first_moment(est, _block_sum(lambda X, y: X.T @ y / y.shape[0], dataset, L, sigma_u, 0, N))
     return replace(est, coeffs=est.coeffs / sigma_u)
 
 

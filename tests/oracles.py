@@ -57,8 +57,7 @@ def change_basis3(M, V) -> np.ndarray:
 def fit_from_moments(M2, M3, K, n_restarts=None, n_iters=100, seed=0):
     """The package's whiten/decompose/dewhiten pipeline driven by given population moments M2 and M3."""
     W, P = mlr.whitening_from_m2(M2, K)
-    lams, vecs = mlr.robust_tpm(change_basis3(M3, W), K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
-    return mlr._dewhiten(lams, vecs, P)
+    return mlr.mlr_fit(change_basis3(M3, W), P, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
 
 
 # Per-item loops that the package's batched kernels replace. Each batched
@@ -194,14 +193,13 @@ def mlds_fit_one_array(dataset, L, K, sigma_u=1.0, n_restarts=None, n_iters=100,
     """mlds_fit on one stacked X of all trajectories, each stage called once.
 
     M2 reads rows [:n_m2] (the first ceil(N/2) trajectories) and M3 the rest;
-    the refine pass reads all rows as one block of share 1.0.
+    the refine pass reads the first moment X'y / n of all rows.
     """
     X, y = build_stacked(dataset, L, sigma_u)
     n_m2 = (dataset.N + 1) // 2 * (dataset.T // L)
     W, P = mlr.whitening_from_m2(mlr.estimate_m2(X[:n_m2], y[:n_m2]), K)
     M3w = mlr.estimate_whitened_m3(X[n_m2:], y[n_m2:], W)
-    lams, vecs = mlr.robust_tpm(M3w, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
-    est = mlr._dewhiten(lams, vecs, P)
+    est = mlr.mlr_fit(M3w, P, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
     if refine:
-        est = mlr.refine_first_moment(est, [(X, y, 1.0)])
+        est = mlr.refine_first_moment(est, X.T @ y / y.shape[0])
     return replace(est, coeffs=est.coeffs / sigma_u)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ldsmix import pipeline
-from ldsmix.cli import main
+from ldsmix.cli import _build_parser, main
 from ldsmix.evaluate import aggregate, load_records_csv, match_components
 from ldsmix.lds import TrajectoryDataset, load_mixture, save_dataset, save_mixture
 from ldsmix.mlr import MixtureEstimate
@@ -450,6 +450,37 @@ def test_config_file_boolean_and_rejects(tmp_path, capsys):
     worse = tmp_path / "worse.cfg"
     worse.write_text("just a line\n")
     assert run("fit", "--data", data_path, "--out", out, "--config", str(worse)) == 2
+
+
+def test_config_file_rejects_duplicate_keys(tmp_path, capsys):
+    # keeping the last of two values would run with a setting nobody sees
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("K=2\n# comment\n K = 5\n")
+    assert run("simulate", "--out", str(tmp_path / "a"), "--config", str(cfg)) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}:3: duplicate key 'K'\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_fit_takes_sigma_u_but_no_noise_flags(tmp_path, capsys):
+    # fit scales its covariates by sigma_u; the process and measurement noise
+    # levels are settings of simulate and sweep only
+    data_path, _ = fit_workspace(tmp_path, N=30, T=14)
+    out = str(tmp_path / "est.txt")
+    with pytest.raises(SystemExit) as exc:
+        run("fit", "--data", data_path, "--out", out, "--sigma-w1", "0.1")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sigma-w1 0.1" in capsys.readouterr().err
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("sigma_w1=0.1\n")
+    assert run("fit", "--data", data_path, "--out", out, "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'sigma_w1'\n"
+    assert not os.path.exists(out)
+    cfg.write_text("sigma_u=1\nL=4\nK=2\n")
+    assert run("fit", "--data", data_path, "--out", out, "--config", str(cfg)) == 0
+    _, subs = _build_parser()
+    for name in ("simulate", "sweep"):
+        flags = {opt for action in subs[name]._actions for opt in action.option_strings}
+        assert {"--sigma-u", "--sigma-w1", "--sigma-w2"} <= flags, name
 
 
 def test_config_file_rejects_help_key(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -378,6 +379,33 @@ def test_run_sweep_child_exception_reaches_parent(monkeypatch):
         run_sweep(tiny_config(seeds=(0, 1)), timer=fake_timer())
     assert type(exc.value) is ArithmeticError and str(exc.value) == "seed 0 broke"
     assert seen == [1]  # seed 0 ran in the child
+    assert_no_children()
+
+
+@pytest.mark.parametrize("exc", [DecompositionError(2, "round 2 collapsed"),
+                                 DegenerateMixtureError("sigma_K too small", sigma=1e-12)])
+def test_errors_survive_a_pickle_round_trip(exc):
+    # a sweep worker sends its exception to the parent pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and back.args == exc.args and str(back) == str(exc)
+    assert vars(back) == vars(exc)  # round_index, sigma
+
+
+def test_run_sweep_child_decomposition_error_reaches_parent(monkeypatch):
+    # raised outside a cell, so the worker sends it to the parent pickled
+    set_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    real = ldsmix.evaluate._seed_records
+
+    def seed_records(cfg, seed, timer):
+        if os.getpid() != parent:
+            raise DecompositionError(2, "worker round 2 collapsed")
+        return real(cfg, seed, timer)
+
+    monkeypatch.setattr(ldsmix.evaluate, "_seed_records", seed_records)
+    with pytest.raises(DecompositionError) as exc:
+        run_sweep(tiny_config(seeds=(0, 1)), timer=fake_timer())
+    assert str(exc.value) == "worker round 2 collapsed" and exc.value.round_index == 2
     assert_no_children()
 
 

@@ -16,9 +16,10 @@ def halves(X, y):
     return (X[:n2], y[:n2]), (X[n2:], y[n2:])
 
 
-def one_block(X, y, n_m2):
-    """mlr_fit's two moment halves as one block each: rows [:n_m2] feed M2, the rest M3."""
-    return [(X[:n_m2], y[:n_m2], 1.0)], [(X[n_m2:], y[n_m2:], 1.0)]
+def fit_halves(X, y, n_m2, K, **kw):
+    """Whiten the M2 of rows [:n_m2], estimate the whitened M3 of the rest, then mlr_fit."""
+    W, P = whitening_from_m2(estimate_m2(X[:n_m2], y[:n_m2]), K)
+    return mlr_fit(estimate_whitened_m3(X[n_m2:], y[n_m2:], W), P, K, **kw)
 
 
 def sample_mlr(rng, betas, weights, n, noise=0.0):
@@ -238,7 +239,7 @@ def test_mlr_fit_single_component_monte_carlo():
     rng = np.random.default_rng(11)
     beta = np.array([1.0, -2.0, 0.5])
     X, y = sample_mlr(rng, [beta], [1.0], 100_000)
-    est = mlr_fit(*one_block(X, y, 50_000), 1, seed=0)
+    est = fit_halves(X, y, 50_000, 1, seed=0)
     assert est.K == 1
     assert np.linalg.norm(est.coeffs[0] - beta) < 0.05
     assert abs(est.weights[0] - 1.0) < 0.05
@@ -257,52 +258,15 @@ def test_mlr_fit_propagates_degeneracy():
     X = np.tile(np.array([[1.0, 0.0, 0.0]]), (6, 1))
     y = np.full(6, 1.0)
     with pytest.raises(DegenerateMixtureError):
-        mlr_fit(*one_block(X, y, 3), 2, seed=0)
-
-
-def test_mlr_fit_rejects_an_empty_half():
-    # an empty M3 half is found after whitening, so its M2 half must whiten:
-    # 3 I rows with unit responses give M2 = 5/8 I
-    X = 3.0 * np.eye(4)
-    y = np.ones(4)
-    for m2_blocks, m3_blocks in (([], [(X, y, 1.0)]), ([(X, y, 1.0)], []), ([], [])):
-        with pytest.raises(ValueError, match="both moment halves must be non-empty"):
-            mlr_fit(m2_blocks, m3_blocks, 1)
-
-
-def test_mlr_fit_takes_the_m3_blocks_after_whitening():
-    # a degenerate M2 half fails before any M3 block is built
-    X = np.tile(np.array([[1.0, 0.0, 0.0]]), (6, 1))
-    y = np.full(6, 1.0)
-
-    def m3_blocks():
-        raise AssertionError("an M3 block was built before whitening")
-        yield
-
-    with pytest.raises(DegenerateMixtureError):
-        mlr_fit([(X, y, 1.0)], m3_blocks(), 2, seed=0)
-
-
-def test_mlr_fit_weights_blocks_by_row_share():
-    # splitting each half into blocks with their row shares reproduces the one-block fit
-    rng = np.random.default_rng(17)
-    betas = np.array([[1.0, 0.0], [0.0, 1.0]])
-    X, y = sample_mlr(rng, betas, [0.5, 0.5], 6000)
-    whole = mlr_fit(*one_block(X, y, 3000), 2, seed=4)
-    cuts = [(0, 1000), (1000, 2500), (2500, 3000)]
-    m2_blocks = [(X[a:b], y[a:b], (b - a) / 3000) for a, b in cuts]
-    m3_blocks = [(X[3000 + a : 3000 + b], y[3000 + a : 3000 + b], (b - a) / 3000) for a, b in cuts]
-    blocked = mlr_fit(m2_blocks, m3_blocks, 2, seed=4)
-    assert np.allclose(blocked.weights, whole.weights, rtol=0, atol=1e-12)
-    assert np.allclose(blocked.coeffs, whole.coeffs, rtol=0, atol=1e-12)
+        fit_halves(X, y, 3, 2, seed=0)
 
 
 def test_mlr_fit_deterministic():
     rng = np.random.default_rng(13)
     betas = np.array([[1.0, 0.0], [0.0, 1.0]])
     X, y = sample_mlr(rng, betas, [0.5, 0.5], 5000)
-    a = mlr_fit(*one_block(X, y, 2500), 2, seed=4)
-    b = mlr_fit(*one_block(X, y, 2500), 2, seed=4)
+    a = fit_halves(X, y, 2500, 2, seed=4)
+    b = fit_halves(X, y, 2500, 2, seed=4)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.coeffs, b.coeffs)
 
@@ -326,7 +290,7 @@ def test_refine_fixed_point():
     n = 200_000
     X, y = sample_mlr(rng, betas, weights, n)
     est = MixtureEstimate(weights, betas)
-    out = refine_first_moment(est, [(X, y, 1.0)])
+    out = refine_first_moment(est, X.T @ y / len(y))
     assert np.allclose(out.weights, weights, atol=0.02)
     assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -337,19 +301,9 @@ def test_refine_separable_oracle():
     # y chosen so X'y/N = (0.7, 0.3): y = (1.4, 0.6) over N=2
     y = np.array([1.4, 0.6])
     est = MixtureEstimate(np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-    out = refine_first_moment(est, [(X, y, 1.0)])
+    out = refine_first_moment(est, X.T @ y / len(y))
     assert np.allclose(out.weights, [0.7, 0.3], atol=1e-10)
     assert np.array_equal(out.coeffs, est.coeffs)
-
-
-def test_refine_blocks_weight_the_first_moment():
-    # the separable case above split into two one-row blocks of share 1/2
-    est = MixtureEstimate(np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-    blocks = [(np.array([[1.0, 0.0]]), np.array([1.4]), 0.5), (np.array([[0.0, 1.0]]), np.array([0.6]), 0.5)]
-    out = refine_first_moment(est, blocks)
-    assert np.allclose(out.weights, [0.7, 0.3], atol=1e-10)
-    with pytest.raises(ValueError, match="at least one row block"):
-        refine_first_moment(est, [])
 
 
 def test_refine_matches_nullspace_oracle():
@@ -369,7 +323,7 @@ def test_refine_matches_nullspace_oracle():
         q, *_ = np.linalg.lstsq(A @ Z, m1 - A @ p0, rcond=None)
         p_oracle = p0 + Z @ q
         est = MixtureEstimate(np.full(K, 1.0 / K), B)
-        out = refine_first_moment(est, [(X, y, 1.0)])
+        out = refine_first_moment(est, m1)
         res_out = np.linalg.norm(B.T @ out.weights - m1)
         res_oracle = np.linalg.norm(B.T @ p_oracle - m1)
         if (p_oracle >= 1e-6).all():
@@ -384,7 +338,7 @@ def test_refine_rank_deficient_returns_unchanged():
     y = np.ones(2)
     B = np.array([[1.0, 0.0], [1.0, 0.0]])  # duplicate rows
     est = MixtureEstimate(np.array([0.5, 0.5]), B)
-    out = refine_first_moment(est, [(X, y, 1.0)])
+    out = refine_first_moment(est, X.T @ y / len(y))
     assert np.array_equal(out.weights, est.weights)
     assert any("rank" in w for w in out.warnings)
 
@@ -398,5 +352,5 @@ def test_refine_weight_sum_property():
         X = rng.normal(size=(40, d))
         y = rng.normal(size=40)
         est = MixtureEstimate(rng.uniform(0.2, 1.0, size=K), B)
-        out = refine_first_moment(est, [(X, y, 1.0)])
+        out = refine_first_moment(est, X.T @ y / len(y))
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)

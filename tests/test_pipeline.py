@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from ldsmix import mlr, pipeline
-from ldsmix.errors import InsufficientLengthError
+from ldsmix.errors import DegenerateMixtureError, InsufficientLengthError
 from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset,
                         generate_dataset, impulse_response, random_mixture,
                         random_stable_system)
+from ldsmix.mlr import MixtureEstimate
 from ldsmix.pipeline import (build_stacked, estimate_text, ho_kalman, load_estimate,
                              mlds_fit, ols_markov, save_estimate, stack_times)
 from oracles import lag_windows_loop, mlds_fit_one_array, ols_markov_lstsq
@@ -146,7 +147,7 @@ def test_build_stacked_partition_by_trajectory(monkeypatch):
             def record(Xh, yh, *rest, _name=name, _moment=moment):
                 seen[_name].append((Xh, yh))
                 return _moment
-            monkeypatch.setattr(mlr, name, record)
+            monkeypatch.setattr(pipeline, name, record)
         mlds_fit(ds, L=2, K=1)
         for name, rows, count in zip(seen, (slice(None, 6), slice(6, None)), blocks):
             Xs, ys = zip(*seen[name])
@@ -196,13 +197,13 @@ def test_blocked_moments_stay_within_1e_12(monkeypatch, per_block):
     X, y = build_stacked(ds, L)
     n2 = 151 * S
     sums = []
-    share_sum = mlr._share_sum
+    block_sum = pipeline._block_sum
 
-    def record(stage, blocks):
-        sums.append(share_sum(stage, blocks))
+    def record(*args):
+        sums.append(block_sum(*args))
         return sums[-1]
 
-    monkeypatch.setattr(mlr, "_share_sum", record)
+    monkeypatch.setattr(pipeline, "_block_sum", record)
     monkeypatch.setattr(pipeline, "_ROW_BUDGET", block_budget(per_block, S))
     mlds_fit(ds, L, 3, seed=2, refine=True)
     M2, M3w, m1 = sums
@@ -211,6 +212,72 @@ def test_blocked_moments_stay_within_1e_12(monkeypatch, per_block):
                       (M3w, mlr.estimate_whitened_m3(X[n2:], y[n2:], W)),
                       (m1, X.T @ y / len(y))):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_mlds_fit_rejects_an_empty_half(monkeypatch):
+    # N=1 leaves the M3 half empty, which is reported before any stage runs
+    def stage(*args, **kw):
+        raise AssertionError("a fit stage ran")
+
+    for name in ("build_stacked", "estimate_m2", "whitening_from_m2", "estimate_whitened_m3", "mlr_fit"):
+        monkeypatch.setattr(pipeline, name, stage)
+    with pytest.raises(ValueError, match="both moment halves must be non-empty"):
+        mlds_fit(TrajectoryDataset(np.ones((1, 4, 1)), np.ones((1, 4))), L=2, K=1)
+
+
+def test_mlds_fit_stacks_the_m3_blocks_after_whitening(monkeypatch):
+    # every lag row is e1 = (u_2, u_1, u_0) = (1, 0, 0) with a unit response,
+    # so M2 = (e1 e1' - I) / 2 is degenerate for K=2: whitening fails after the
+    # M2 half's two one-trajectory blocks and before any M3 block is stacked
+    inputs = np.zeros((4, 6, 1))
+    inputs[:, [2, 5]] = 1.0
+    outputs = np.zeros((4, 6))
+    outputs[:, [2, 5]] = 1.0
+    stacked = []
+    build = pipeline.build_stacked
+
+    def record(dataset, L, sigma_u, start, stop):
+        stacked.append((start, stop))
+        return build(dataset, L, sigma_u, start, stop)
+
+    monkeypatch.setattr(pipeline, "build_stacked", record)
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", 2)
+    with pytest.raises(DegenerateMixtureError):
+        mlds_fit(TrajectoryDataset(inputs, outputs), L=3, K=2)
+    assert stacked == [(0, 1), (1, 2)]
+
+
+def orthogonal_fir_mixture():
+    """Two order-2 components with Markov vectors g = (1, 0) and (0, 1) at L=2, weights 1/2 each."""
+    B, A = np.array([[1.0], [0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    return MixtureModel(np.array([0.5, 0.5]), [StateSpace(np.zeros((2, 2)), B, np.array([1.0, 0.0])),
+                                               StateSpace(A, B, np.array([0.0, 1.0]))])
+
+
+def test_mlds_fit_weights_blocks_by_row_share(monkeypatch):
+    # halves of 300 trajectories (3000 rows each) cut into 130 + 130 + 40
+    # trajectories reproduce the one-block fit; equal block weights would not
+    ds = generate_dataset(orthogonal_fir_mixture(), 600, 20, noiseless(), seed=17)
+    whole = mlds_fit(ds, 2, 2, seed=4)
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", 130 * 10 + 5)
+    blocked = mlds_fit(ds, 2, 2, seed=4)
+    assert np.allclose(blocked.weights, whole.weights, rtol=0, atol=1e-12)
+    assert np.allclose(blocked.coeffs, whole.coeffs, rtol=0, atol=1e-12)
+
+
+def test_refine_blocks_weight_the_first_moment(monkeypatch):
+    # one lag row (u_1, u_0) per trajectory: (3, 0), (0, 3), (3, 0) with
+    # responses 0.4, 0.3, 0.3. Refine blocks of 2 and 1 trajectories, weighted
+    # 2/3 and 1/3, give m1 = (0.7, 0.3), and with unit-basis coefficients the
+    # re-solved weights are m1 itself (the separable case of refine_first_moment)
+    inputs = np.array([[0.0, 3.0], [3.0, 0.0], [0.0, 3.0]])[:, :, None]
+    outputs = np.array([[0.0, 0.4], [0.0, 0.3], [0.0, 0.3]])
+    fixed = MixtureEstimate(np.array([0.5, 0.5]), np.eye(2))
+    monkeypatch.setattr(pipeline, "mlr_fit", lambda *args, **kw: fixed)
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", 2)
+    out = mlds_fit(TrajectoryDataset(inputs, outputs), L=2, K=2, refine=True)
+    assert np.allclose(out.weights, [0.7, 0.3], rtol=0, atol=1e-10)
+    assert np.array_equal(out.coeffs, fixed.coeffs)
 
 
 def test_mlds_fit_blocks_stay_within_1e_12(monkeypatch):
