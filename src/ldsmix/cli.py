@@ -7,7 +7,8 @@ import os
 import sys
 
 from .errors import DecompositionError, DegenerateMixtureError
-from .evaluate import SweepConfig, match_components, run_sweep, write_levels, write_records_csv, write_series
+from .evaluate import (DEFAULT_METHODS, METHODS, SweepConfig, match_components, run_sweep, write_levels,
+                       write_records_csv, write_series)
 from .lds import (NoiseConfig, generate_dataset, load_dataset, load_mixture, mixture_sigma_k,
                   random_mixture, save_dataset, save_mixture)
 from .pipeline import estimate_text, ho_kalman, load_estimate, mlds_fit
@@ -15,9 +16,9 @@ from .util import atomic_write_text, format_rows
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_DEGENERATE = 3
-EXIT_DECOMPOSITION = 4
-EXIT_IO = 5
+# an error exits with the code of the first type here that it is an instance of;
+# ValueError covers InsufficientLengthError and file parse errors
+_EXIT_CODES = {DegenerateMixtureError: 3, DecompositionError: 4, ValueError: EXIT_VALIDATION, OSError: 5}
 
 _EVAL_CSV_HEADER = "K,L,mean_error,mean_weight_error"
 
@@ -101,8 +102,8 @@ def _build_parser():
     sw.add_argument("--N", type=_int_list, default=(100, 1000), help="comma-separated trajectory counts")
     sw.add_argument("--T", type=_int_list, default=(24, 96), help="comma-separated trajectory lengths")
     sw.add_argument("--num-seeds", type=int, default=5, help="number of trial seeds")
-    sw.add_argument("--methods", type=_str_list, default=("tensor", "baseline"),
-                    help="comma-separated subset of tensor,tensor_refine,baseline")
+    sw.add_argument("--methods", type=_str_list, default=DEFAULT_METHODS,
+                    help=f"comma-separated subset of {','.join(METHODS)}")
     sw.add_argument("--out", default=None, help="output prefix; writes <out>.csv, <out>_series.txt, <out>_levels.txt")
     _add_common(sw, ("K", "n", "m", "L", "radius", "sigma_u", "noise", "seed", "tpm"))
     sw.set_defaults(func=cmd_sweep)
@@ -221,10 +222,14 @@ def cmd_eval(args) -> int:
     _check(args.estimate, "--estimate is required")
     _check(args.mixture, "--mixture is required")
     fresh = not args.csv or not os.path.exists(args.csv) or os.path.getsize(args.csv) == 0
+    lead = _EVAL_CSV_HEADER + "\n" if fresh else ""
     if not fresh:
-        with open(args.csv) as fh:
-            _check(fh.readline().rstrip("\n") == _EVAL_CSV_HEADER,
+        with open(args.csv, "rb") as fh:
+            _check(fh.readline().rstrip(b"\r\n") == _EVAL_CSV_HEADER.encode(),
                    f"{args.csv}: line 1 is not the header {_EVAL_CSV_HEADER!r}; not appending")
+            fh.seek(-1, os.SEEK_END)
+            if fh.read() != b"\n":  # the row starts a line of its own
+                lead = "\n"
     est, L, m = load_estimate(args.estimate)
     if args.L is not None:
         _check(args.L == L, f"--L {args.L} does not match the estimate horizon L={L}")
@@ -239,22 +244,13 @@ def cmd_eval(args) -> int:
     if args.csv:
         row = f"{model.K},{L},{mr.mean_error:.9g},{mr.mean_weight_error:.9g}"
         with open(args.csv, "a") as fh:
-            if fresh:
-                fh.write(_EVAL_CSV_HEADER + "\n")
-            fh.write(row + "\n")
+            fh.write(lead + row + "\n")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     _validate_common(args)
     _check(args.out, "--out is required")
-    _check(args.num_seeds >= 1, "--num-seeds must be >= 1")
-    for N in args.N:
-        _check(N >= 1, "--N entries must be >= 1")
-    for T in args.T:
-        _check(T >= 1, "--T entries must be >= 1")
-    for flag, values in (("--N", args.N), ("--T", args.T), ("--methods", args.methods)):
-        _check(len(set(values)) == len(values), f"{flag} has duplicate entries: {','.join(map(str, values))}")
     cfg = SweepConfig(K=args.K, n=args.n, m=args.m, L=args.L,
                       N_values=tuple(args.N), T_values=tuple(args.T),
                       seeds=tuple(range(args.seed, args.seed + args.num_seeds)),
@@ -267,8 +263,7 @@ def cmd_sweep(args) -> int:
     levels_path = f"{args.out}_levels.txt"
     write_records_csv(csv_path, records)
     write_series(series_path, records)
-    level_method = "tensor" if "tensor" in cfg.methods else cfg.methods[0]
-    write_levels(levels_path, records, method=level_method)
+    write_levels(levels_path, records, method=METHODS[0] if METHODS[0] in cfg.methods else cfg.methods[0])
     n_ok = sum(r.status == "ok" for r in records)
     print(f"{len(records)} records ({n_ok} ok, {len(records) - n_ok} failed)")
     for p in (csv_path, series_path, levels_path):
@@ -287,19 +282,9 @@ def main(argv=None) -> int:
             _apply_config(subparsers[args.command], _load_config(args.config))
             args = parser.parse_args(argv)
         return args.func(args)
-    except DegenerateMixtureError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except DecompositionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DECOMPOSITION
-    except ValueError as exc:
-        # includes InsufficientLengthError and file parse errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

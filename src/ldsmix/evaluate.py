@@ -80,22 +80,39 @@ def baseline_error(dataset: TrajectoryDataset, truth: MixtureModel, L: int) -> f
     return float(errs.sum()) / dataset.N
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class SweepConfig:
-    """Grid description for run_sweep; defaults mirror the desk-scale protocol."""
+    """Grid description for run_sweep, checked on construction (ValueError).
 
-    K: int = 3
-    n: int = 3
-    m: int = 1
-    L: int = 7
-    N_values: tuple = (100, 1000)
-    T_values: tuple = (96,)
-    seeds: tuple = tuple(range(15))
-    methods: tuple = ("tensor", "baseline")
+    Methods come from METHODS; seeds, N_values, T_values and methods are non-empty without repeats
+    (aggregate() would count a repeat's records as replicates); N and T entries are >= 1.
+    """
+
+    K: int
+    n: int
+    m: int
+    L: int
+    N_values: tuple
+    T_values: tuple
+    seeds: tuple
+    methods: tuple
     noise: NoiseConfig = NoiseConfig()
     radius_range: tuple = (0.6, 0.9)
     n_restarts: int | None = None
     n_iters: int = 100
+
+    def __post_init__(self):
+        for meth in self.methods:
+            if meth not in METHODS:
+                raise ValueError(f"unknown method {meth!r}; choose from {METHODS}")
+        for name in ("seeds", "N_values", "T_values", "methods"):
+            values = tuple(getattr(self, name))
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} has duplicate entries: {values}")
+            if name.endswith("_values") and min(values) < 1:
+                raise ValueError(f"{name} entries must be >= 1")
 
 
 @dataclass
@@ -130,7 +147,8 @@ _METHOD_ERRORS = {
     "tensor_refine": partial(_tensor_errors, refine=True),
     "baseline": _baseline_errors,
 }
-METHODS = tuple(_METHOD_ERRORS)
+METHODS = tuple(_METHOD_ERRORS)  # METHODS[0] is the paper's estimator
+DEFAULT_METHODS = ("tensor", "baseline")  # `ldsmix sweep` without --methods
 
 
 def _seed_records(cfg: SweepConfig, seed: int, timer):
@@ -230,15 +248,6 @@ def run_sweep(cfg: SweepConfig, timer=time.perf_counter):
     exception in a child is re-raised here with its type and message, and no
     child outlives the call.
     """
-    for meth in cfg.methods:
-        if meth not in METHODS:
-            raise ValueError(f"unknown method {meth!r}; choose from {METHODS}")
-    if not cfg.seeds or not cfg.N_values or not cfg.T_values:
-        raise ValueError("seeds, N_values and T_values must be non-empty")
-    for name in ("seeds", "N_values", "T_values", "methods"):
-        values = getattr(cfg, name)
-        if len(set(values)) != len(values):
-            raise ValueError(f"{name} has duplicate entries: {tuple(values)}")
     seeds = tuple(cfg.seeds)
     W = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):

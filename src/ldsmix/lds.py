@@ -57,10 +57,6 @@ class StateSpace:
     def input_dim(self) -> int:
         return self.B.shape[1]
 
-    @property
-    def radius(self) -> float:
-        return _spectral_radius(self.A)
-
 
 @dataclass(frozen=True)
 class NoiseConfig:

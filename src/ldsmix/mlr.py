@@ -70,8 +70,11 @@ def whitening_from_m2(M2, K: int):
     evals, vecs = np.linalg.eigh((M2 + M2.T) / 2)
     sig = evals[-K:][::-1].copy()
     if not sig[-1] > _SIGMA_K_FLOOR:
+        # sum_k p_k b_k b_k' has no negative eigenvalue, so a negative one points at the covariates
+        hint = ("; the inputs do not look standard Gaussian at sigma_u, so the input scale "
+                "(--sigma-u) is the first thing to check") if sig[-1] < -_SIGMA_K_FLOOR else ""
         raise DegenerateMixtureError(
-            f"whitening needs sigma_K > {_SIGMA_K_FLOOR:g}, got sigma_{K} = {sig[-1]:.6e}",
+            f"whitening needs sigma_K > {_SIGMA_K_FLOOR:g}, got sigma_{K} = {sig[-1]:.6e}{hint}",
             sigma=float(sig[-1]),
         )
     U = vecs[:, -K:][:, ::-1]

@@ -81,9 +81,10 @@ def test_fit_layers_are_traced():
 
 
 def test_no_dead_names():
-    # every module-level def, class and constant is read or re-exported
-    # somewhere in the package (tests and the benchmark do not count), and
-    # every module but __init__ uses each name it imports
+    # every module-level def, class and constant, and every method and
+    # property of a class, is read or re-exported somewhere in the package
+    # (tests and the benchmark do not count), and every module but __init__
+    # uses each name it imports
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     used = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -97,6 +98,10 @@ def test_no_dead_names():
             names = [getattr(t, "id", getattr(t, "name", None)) for t in targets]
             dead += [f"{module}.{name}" for name in names
                      if name and name not in used and not name[:2] == name[-2:] == "__"]
+            if isinstance(node, ast.ClassDef):  # its methods and properties, read as attributes
+                dead += [f"{module}.{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef) and item.name not in used
+                         and not item.name[:2] == item.name[-2:] == "__"]
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
         bound = [alias.asname or alias.name.split(".")[0] for node in imports

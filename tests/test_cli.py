@@ -12,7 +12,7 @@ import pytest
 
 from ldsmix import pipeline
 from ldsmix.cli import _build_parser, main
-from ldsmix.evaluate import aggregate, load_records_csv, match_components
+from ldsmix.evaluate import METHODS, aggregate, load_records_csv, match_components
 from ldsmix.lds import TrajectoryDataset, load_mixture, save_dataset, save_mixture
 from ldsmix.mlr import MixtureEstimate
 from ldsmix.pipeline import load_estimate, save_estimate
@@ -49,7 +49,7 @@ def test_simulate_defaults_shape(tmp_path, capsys):
     for ss in model.systems:
         rho = max(abs(np.linalg.eigvals(ss.A)))
         assert 0.6 - 1e-9 <= rho <= 0.9 + 1e-9
-    head = open(prefix + ".dataset.txt").readline()
+    head = Path(prefix + ".dataset.txt").read_text().splitlines()[0]
     assert head.startswith("mlds-dataset v1, N=5, T=8, m=1")
 
 
@@ -58,7 +58,7 @@ def test_simulate_deterministic(tmp_path):
     for prefix in (a, b):
         assert run("simulate", "--out", prefix, "--N", "4", "--T", "6", "--seed", "9") == 0
     for suffix in (".mixture.txt", ".dataset.txt"):
-        assert open(a + suffix, "rb").read() == open(b + suffix, "rb").read()
+        assert Path(a + suffix).read_bytes() == Path(b + suffix).read_bytes()
 
 
 def test_simulate_validation_errors(tmp_path, capsys):
@@ -102,7 +102,7 @@ def test_fit_deterministic(tmp_path):
     for out in (a, b):
         assert run("fit", "--data", data_path, "--out", out, "--L", "4", "--K", "2",
                    "--seed", "5") == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_fit_insufficient_length(tmp_path):
@@ -130,7 +130,7 @@ def test_fit_ho_kalman_appends_realizations(tmp_path):
     out = str(tmp_path / "est.txt")
     assert run("fit", "--data", data_path, "--out", out, "--L", "7", "--K", "3",
                "--ho-kalman", "3") == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     for k in range(3):
         assert f"realization {k}" in text
     # the estimate block still parses; realization lines are trailing extras
@@ -166,6 +166,19 @@ def test_fit_degenerate_exit_code(tmp_path):
     save_dataset(path, ds)
     assert run("fit", "--data", path, "--out", str(tmp_path / "e.txt"),
                "--L", "2", "--K", "2") == 3
+
+
+def test_fit_wrong_input_scale_names_sigma_u(tmp_path, capsys):
+    # at --sigma-u 2 on unit-scale inputs, M2 estimates about sum_k p_k (b_k b_k' / 4 - 3/8 |b_k|^2 I),
+    # whose K-th eigenvalue is negative, which the mixture's own M2 never is
+    data_path, _ = fit_workspace(tmp_path, N=200, T=28, seed=3)
+    capsys.readouterr()
+    out = tmp_path / "e.txt"
+    assert run("fit", "--data", data_path, "--out", str(out), "--sigma-u", "2") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: whitening needs sigma_K > 1e-10, got sigma_3 = -")
+    assert "do not look standard Gaussian at sigma_u" in err and "(--sigma-u)" in err
+    assert not out.exists()
 
 
 def test_fit_decomposition_exit_code(tmp_path):
@@ -216,7 +229,7 @@ def test_fit_non_finite_last_block_exit_code(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     T = 28
     lineno = 3 + 79 * (T + 1) + 3  # trajectory 79, t = 4
-    lines = open(data_path).read().splitlines()
+    lines = Path(data_path).read_text().splitlines()
     lines[lineno - 1] = "1e300 " + lines[lineno - 1].split()[1]
     with open(data_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -243,7 +256,7 @@ def test_fit_non_finite_sample_exit_code(tmp_path, capsys, traj):
     data_path, _ = fit_workspace(tmp_path)
     T = 28
     lineno = 3 + traj * (T + 1) + 6
-    lines = open(data_path).read().splitlines()
+    lines = Path(data_path).read_text().splitlines()
     lines[lineno - 1] = lines[lineno - 1].split()[0] + " nan"
     with open(data_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -268,7 +281,7 @@ def test_eval_non_finite_weight_exit_code(tmp_path, capsys):
     model, mix_path = eval_workspace(tmp_path)
     est_path = str(tmp_path / "est.txt")
     save_estimate(est_path, MixtureEstimate(model.weights, model.markov_matrix(4)), 4, 1)
-    lines = open(mix_path).read().splitlines()
+    lines = Path(mix_path).read_text().splitlines()
     lines[1] = "weight nan"
     with open(mix_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -282,7 +295,7 @@ def test_eval_non_finite_system_exit_code(tmp_path, capsys, line, text, name):
     model, mix_path = eval_workspace(tmp_path)
     est_path = str(tmp_path / "est.txt")
     save_estimate(est_path, MixtureEstimate(model.weights, model.markov_matrix(4)), 4, 1)
-    lines = open(mix_path).read().splitlines()
+    lines = Path(mix_path).read_text().splitlines()
     lines[line] = text
     with open(mix_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -354,7 +367,7 @@ def test_eval_horizon_check_and_csv(tmp_path, capsys):
     for _ in range(2):
         assert run("eval", "--estimate", est_path, "--mixture", mix_path,
                    "--csv", csv_path) == 0
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == "K,L,mean_error,mean_weight_error"
     assert len(lines) == 3
     assert lines[1] == lines[2] == "2,4,0,0"
@@ -362,11 +375,23 @@ def test_eval_horizon_check_and_csv(tmp_path, capsys):
     sweep = str(tmp_path / "sweep")
     assert run("sweep", "--out", sweep, "--K", "1", "--n", "1", "--L", "2", "--N", "4", "--T", "8",
                "--num-seeds", "1", "--methods", "baseline") == 0
-    before = open(sweep + ".csv", "rb").read()
+    before = Path(sweep + ".csv").read_bytes()
     capsys.readouterr()
     assert run("eval", "--estimate", est_path, "--mixture", mix_path, "--csv", sweep + ".csv") == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert open(sweep + ".csv", "rb").read() == before
+    assert Path(sweep + ".csv").read_bytes() == before
+
+
+def test_eval_csv_appends_after_a_last_line_without_newline(tmp_path):
+    model, mix_path = eval_workspace(tmp_path)
+    est_path = str(tmp_path / "est.txt")
+    save_estimate(est_path, MixtureEstimate(model.weights, model.markov_matrix(4)), 4, 1)
+    csv_path = tmp_path / "scores.csv"
+    for text in ("K,L,mean_error,mean_weight_error", "K,L,mean_error,mean_weight_error\n2,4,0,0"):
+        csv_path.write_text(text)
+        for _ in range(2):  # the second run reads the file the first one appended to
+            assert run("eval", "--estimate", est_path, "--mixture", mix_path, "--csv", str(csv_path)) == 0
+        assert csv_path.read_text() == text + "\n2,4,0,0\n2,4,0,0\n"
 
 
 def test_sweep_grid_counts_and_files(tmp_path):
@@ -377,10 +402,10 @@ def test_sweep_grid_counts_and_files(tmp_path):
     assert rc == 0
     records = load_records_csv(prefix + ".csv")
     assert len(records) == 16  # 2 N x 2 T x 2 seeds x 2 methods
-    series = open(prefix + "_series.txt").read()
+    series = Path(prefix + "_series.txt").read_text()
     assert series.count("# series method=tensor") == 2  # one block per T
     assert series.count("# series method=baseline") == 2
-    levels = open(prefix + "_levels.txt").read().splitlines()
+    levels = Path(prefix + "_levels.txt").read_text().splitlines()
     assert levels[0] == "# levels method=tensor"
 
 
@@ -390,7 +415,7 @@ def test_sweep_levels_match_csv_medians(tmp_path):
                "--N", "4,6", "--T", "8", "--num-seeds", "3",
                "--methods", "tensor") == 0
     agg = aggregate(load_records_csv(prefix + ".csv"))
-    for line in open(prefix + "_levels.txt").read().splitlines():
+    for line in Path(prefix + "_levels.txt").read_text().splitlines():
         if line.startswith("#"):
             continue
         N, T, med = line.split()
@@ -406,10 +431,22 @@ def test_sweep_validation(tmp_path, capsys):
     capsys.readouterr()
     assert run("sweep", "--out", prefix, "--K", "4", "--L", "3", "--N", "5", "--T", "8") == 2
     assert capsys.readouterr().err == "error: K=4 exceeds the covariate dimension L*m=3\n"
-    for flag, value in (("--N", "50,50"), ("--T", "8,12,8"), ("--methods", "tensor,tensor")):
+    # SweepConfig's messages name the library field that holds the flag's list
+    for flag, value, message in (("--N", "50,50", "N_values has duplicate entries: (50, 50)"),
+                                 ("--T", "8,12,8", "T_values has duplicate entries: (8, 12, 8)"),
+                                 ("--methods", "tensor,tensor",
+                                  "methods has duplicate entries: ('tensor', 'tensor')"),
+                                 ("--N", "0,100", "N_values entries must be >= 1"),
+                                 ("--num-seeds", "0", "seeds must be non-empty")):
         assert run("sweep", "--out", prefix, flag, value) == 2
-        assert capsys.readouterr().err == f"error: {flag} has duplicate entries: {value}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_methods_help_names_every_method():
+    _, subparsers = _build_parser()
+    action = next(a for a in subparsers["sweep"]._actions if a.dest == "methods")
+    assert action.help.split()[-1].split(",") == list(METHODS)
 
 
 def test_config_file_merge(tmp_path):
@@ -419,7 +456,7 @@ def test_config_file_merge(tmp_path):
     assert run("simulate", "--out", a, "--config", str(cfg), "--K", "4") == 0
     b = str(tmp_path / "b")
     assert run("simulate", "--out", b, "--K", "4", "--seed", "3", "--N", "5", "--T", "9") == 0
-    assert open(a + ".mixture.txt", "rb").read() == open(b + ".mixture.txt", "rb").read()
+    assert Path(a + ".mixture.txt").read_bytes() == Path(b + ".mixture.txt").read_bytes()
     model = load_mixture(a + ".mixture.txt")
     assert model.K == 4  # explicit flag beat the config value
 
@@ -432,7 +469,7 @@ def test_config_file_equals_form_override(tmp_path):
                "--N", "4", "--T", "6") == 0
     b = str(tmp_path / "b")
     assert run("simulate", "--out", b, "--seed", "7", "--N", "4", "--T", "6") == 0
-    assert open(a + ".mixture.txt", "rb").read() == open(b + ".mixture.txt", "rb").read()
+    assert Path(a + ".mixture.txt").read_bytes() == Path(b + ".mixture.txt").read_bytes()
 
 
 def test_config_file_boolean_and_rejects(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import ldsmix.evaluate
 import ldsmix.lds
 from ldsmix.errors import DecompositionError, DegenerateMixtureError
-from ldsmix.evaluate import (_OLS_ROW_BUDGET, CSV_HEADER, SweepConfig, SweepRecord,
+from ldsmix.evaluate import (_OLS_ROW_BUDGET, CSV_HEADER, METHODS, SweepConfig, SweepRecord,
                              aggregate, baseline_error, load_records_csv,
                              match_components, run_sweep, write_levels,
                              write_records_csv, write_series)
@@ -296,6 +297,33 @@ def test_run_sweep_rejects_duplicates(field, values):
     with pytest.raises(ValueError) as exc:
         run_sweep(tiny_config(**{field: values}))
     assert str(exc.value) == f"{field} has duplicate entries: {values}"
+
+
+@pytest.mark.parametrize("field,values,message", [
+    ("methods", ("tensor", "ridge"), f"unknown method 'ridge'; choose from {METHODS}"),
+    *[(field, (), f"{field} must be non-empty") for field in ("seeds", "N_values", "T_values", "methods")],
+    ("seeds", (3, 4, 3), "seeds has duplicate entries: (3, 4, 3)"),
+    ("N_values", (6, 6), "N_values has duplicate entries: (6, 6)"),
+    ("T_values", (8, 9, 8), "T_values has duplicate entries: (8, 9, 8)"),
+    ("methods", ("baseline", "baseline"), "methods has duplicate entries: ('baseline', 'baseline')"),
+    ("N_values", (6, 0), "N_values entries must be >= 1"),
+    ("T_values", (-8,), "T_values entries must be >= 1"),
+])
+def test_sweep_config_checks_itself(field, values, message):
+    with pytest.raises(ValueError) as exc:
+        tiny_config(**{field: values})
+    assert str(exc.value) == message
+
+
+def test_sweep_config_is_frozen_and_keyword_only():
+    cfg = tiny_config()
+    with pytest.raises(FrozenInstanceError):
+        cfg.N_values = (6, 6)
+    assert cfg.N_values == (6,)
+    with pytest.raises(TypeError):
+        SweepConfig(1, 1, 1, 2, (6,), (8,), (0,), ("tensor",))
+    with pytest.raises(TypeError, match="missing 1 required keyword-only argument: 'methods'"):
+        SweepConfig(K=1, n=1, m=1, L=2, N_values=(6,), T_values=(8,), seeds=(0,))
 
 
 def forked_grid(monkeypatch):

@@ -40,7 +40,7 @@ def test_statespace_coercion_and_props():
     ss = scalar_system(0.5)
     assert ss.order == 1
     assert ss.input_dim == 1
-    assert ss.radius == pytest.approx(0.5)
+    assert max(abs(np.linalg.eigvals(ss.A))) == pytest.approx(0.5)
     # B given 1-D becomes a column, C flattens
     ss2 = StateSpace(np.array([[0.1, 0.0], [0.0, 0.2]]), np.array([1.0, 2.0]),
                      np.array([[3.0, 4.0]]))
@@ -83,7 +83,7 @@ def test_random_stable_scalar_is_exact():
 def test_random_stable_radius_hits_target():
     for seed in range(8):
         ss = random_stable_system(3, 1, 0.9, seed=seed)
-        assert ss.radius == pytest.approx(0.9, abs=1e-9)
+        assert max(abs(np.linalg.eigvals(ss.A))) == pytest.approx(0.9, abs=1e-9)
         assert ss.B.shape == (3, 1)
         assert ss.C.shape == (3,)
 
@@ -335,7 +335,7 @@ def test_random_mixture_basic():
     assert model.order == 3
     assert np.allclose(model.weights, [1 / 3] * 3)
     for ss in model.systems:
-        assert 0.6 - 1e-9 <= ss.radius <= 0.9 + 1e-9
+        assert 0.6 - 1e-9 <= max(abs(np.linalg.eigvals(ss.A))) <= 0.9 + 1e-9
     assert mixture_sigma_k(model, 7) > 1e-8
 
 
