@@ -85,7 +85,9 @@ class SweepConfig:
     """Grid description for run_sweep, checked on construction (ValueError).
 
     Methods come from METHODS; seeds, N_values, T_values and methods are non-empty without repeats
-    (aggregate() would count a repeat's records as replicates); N and T entries are >= 1.
+    (aggregate() would count a repeat's records as replicates); N and T entries are >= 1, seeds
+    >= 0, and n_iters and n_restarts (when given) >= 1, so a sweep whose methods do not use them,
+    or whose forked workers would see them first, fails before it starts.
     """
 
     K: int
@@ -113,6 +115,11 @@ class SweepConfig:
                 raise ValueError(f"{name} has duplicate entries: {values}")
             if name.endswith("_values") and min(values) < 1:
                 raise ValueError(f"{name} entries must be >= 1")
+        if min(self.seeds) < 0:
+            raise ValueError("seeds entries must be >= 0")
+        for name in ("n_restarts", "n_iters"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

@@ -60,7 +60,7 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Input scale and the two noise scales; zeros are allowed (noiseless runs)."""
+    """Input scale and the two noise scales, finite and nonnegative; zeros are allowed (noiseless runs)."""
 
     sigma_u: float = 1.0
     sigma_w1: float = 0.01
@@ -68,8 +68,8 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("sigma_u", "sigma_w1", "sigma_w2"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -278,25 +278,23 @@ def mixture_sigma_k(model: MixtureModel, L: int) -> float:
     return float(evals[-model.K])
 
 
-def random_mixture(K: int, n: int, m: int, L: int, radius_range=(0.6, 0.9), weights=None,
-                   seed=0) -> MixtureModel:
-    """Random K-component mixture with per-component radii drawn from radius_range.
+def random_mixture(K: int, n: int, m: int, L: int, radius_range=(0.6, 0.9), seed=0) -> MixtureModel:
+    """Random K-component mixture with uniform weights and per-component radii drawn from radius_range.
 
     Component systems are redrawn (up to _MAX_ATTEMPTS = 20 times) until the
     K-th eigenvalue of the horizon-L second moment clears _SIGMA_MIN = 1e-8,
-    so whitening is well posed. Weights default to uniform.
+    so whitening is well posed.
     """
     lo, hi = float(radius_range[0]), float(radius_range[1])
     if not (0.0 < lo <= hi < 1.0):
         raise ValueError("radius_range must satisfy 0 < lo <= hi < 1")
     if K < 1:
         raise ValueError("K must be >= 1")
-    w = np.full(K, 1.0 / K) if weights is None else np.asarray(weights, dtype=float)
     rng = np.random.default_rng(seed)
     last = 0.0
     for _ in range(_MAX_ATTEMPTS):
         systems = [random_stable_system(n, m, rng.uniform(lo, hi), rng) for _ in range(K)]
-        model = MixtureModel(w.copy(), systems)
+        model = MixtureModel(np.full(K, 1.0 / K), systems)
         last = mixture_sigma_k(model, L)
         if last > _SIGMA_MIN:
             return model

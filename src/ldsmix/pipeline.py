@@ -42,8 +42,8 @@ def build_stacked(dataset: TrajectoryDataset, L: int, sigma_u: float = 1.0, star
     (i - start)*S + s comes from trajectory i at time times[s], where
     times = stack_times(T, L) has S entries.
     """
-    if sigma_u <= 0.0:
-        raise ValueError("sigma_u must be positive")
+    if not sigma_u > 0.0:
+        raise ValueError(f"sigma_u must be positive, got {sigma_u!r}")
     times = stack_times(dataset.T, L)
     X = _lag_rows(dataset.inputs[start:stop], L, times)
     with np.errstate(over="ignore"):  # an overflow is reported by the check below

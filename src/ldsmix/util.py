@@ -31,13 +31,19 @@ def format_rows(a) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write to a temp file in the target directory, then rename over the target."""
+    """Write to a temp file in the target directory, then rename over the target.
+
+    The file gets the mode open(path, "w") gives a new file: 0666 less the umask.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp made it 0600
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -64,7 +70,6 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_BLOCK = 256
 
 
 def _hash_consts(init, mult, n) -> np.ndarray:
@@ -75,9 +80,9 @@ def _hash_consts(init, mult, n) -> np.ndarray:
     return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def _seed_words(prefix, first, count) -> np.ndarray:
-    # generate_state(4, uint64) of SeedSequence(prefix + (key,)) for the count keys from
-    # first on, as a (count, 4) uint64 array. Row w of entropy is entropy word w of every
+def _seed_words(prefix, count) -> np.ndarray:
+    # generate_state(4, uint64) of SeedSequence(prefix + (key,)) for the keys 1..count,
+    # as a (count, 4) uint64 array. Row w of entropy is entropy word w of every
     # key. Each step below hashes several words at once with the constants that
     # SeedSequence's one-word-at-a-time loop would use; no word hashed in a step is changed
     # by that step, so the order within a step does not matter.
@@ -91,7 +96,7 @@ def _seed_words(prefix, first, count) -> np.ndarray:
                 break
     entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), count), dtype=np.uint32)
     entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(first, first + count, dtype=np.uint32)
+    entropy[len(words)] = np.arange(1, count + 1, dtype=np.uint32)
     consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
     used = 0
 
@@ -128,34 +133,29 @@ def _pcg64_state(s_hi, s_lo, q_hi, q_lo) -> dict:
 def child_generators(prefix, count: int):
     """Yield one reused Generator count times, the i-th time in the state default_rng(SeedSequence(prefix + (i + 1,))) starts from.
 
-    SeedSequence's hash runs on uint32 arrays for a block of up to 256 keys at
-    a time (blocks keep the temporaries small), and each result is turned into
-    PCG64's seeding, so the draws have the same bits as one fresh Generator
-    per key. Item 0 is also seeded by numpy itself on every call: that raises
-    numpy's own error for a negative or non-integer prefix, and a RuntimeError
-    if the two seedings disagree. Take each item's draws before asking for the
-    next one.
+    SeedSequence's hash runs on uint32 arrays for all count keys at once, and
+    each result is turned into PCG64's seeding, so the draws have the same
+    bits as one fresh Generator per key. Item 0 is also seeded by numpy itself
+    on every call: that raises numpy's own error for a negative or non-integer
+    prefix, and a RuntimeError if the two seedings disagree. Take each item's
+    draws before asking for the next one.
     """
     prefix = tuple(prefix)
     bitgen = np.random.PCG64(np.random.SeedSequence(prefix + (1,)))
     if not 0 <= count <= _MASK32:
         raise ValueError(f"count must lie in [0, 2**32), got {count}")
     template = bitgen.state
-    words = _seed_words(prefix, 1, max(1, min(count, _BLOCK)))
+    words = _seed_words(prefix, max(1, count))
     if _pcg64_state(*words[0].tolist()) != template["state"]:
         raise RuntimeError(f"vectorized seeding of {prefix + (1,)} disagrees with numpy's PCG64")
-    return _reseeded(bitgen, template, prefix, count, words[:count])
+    return _reseeded(bitgen, template, words[:count])
 
 
-def _reseeded(bitgen, template, prefix, count, words):
-    # words holds the first block; later blocks are hashed when they are reached
+def _reseeded(bitgen, template, words):
     rng = np.random.Generator(bitgen)
-    for lo in range(0, count, _BLOCK):
-        if lo:
-            words = _seed_words(prefix, lo + 1, min(_BLOCK, count - lo))
-        for row in words.tolist():
-            bitgen.state = dict(template, state=_pcg64_state(*row))
-            yield rng
+    for row in words:
+        bitgen.state = dict(template, state=_pcg64_state(*row.tolist()))
+        yield rng
 
 
 def parse_header(line: str, tag: str, keys: tuple[str, ...]) -> dict[str, int]:
@@ -168,6 +168,8 @@ def parse_header(line: str, tag: str, keys: tuple[str, ...]) -> dict[str, int]:
         if "=" not in part:
             raise ValueError(f"line 1: malformed header field {part!r}, expected key=value")
         key, val = part.split("=", 1)
+        if key in fields:
+            raise ValueError(f"line 1: duplicate header field {key!r}")
         try:
             fields[key] = int(val)
         except ValueError:

@@ -63,15 +63,53 @@ def test_simulate_deterministic(tmp_path):
 
 def test_simulate_validation_errors(tmp_path, capsys):
     prefix = str(tmp_path / "x")
-    assert run("simulate", "--out", prefix, "--K", "0") == 2
-    assert "error:" in capsys.readouterr().err
-    assert run("simulate", "--out", prefix, "--radius-min", "0.9", "--radius-max", "0.5") == 2
-    assert run("simulate", "--out", prefix, "--seed", "-1") == 2
     assert run("simulate", "--N", "4", "--T", "6") == 2  # missing --out
     capsys.readouterr()
     assert run("simulate", "--out", prefix, "--K", "4", "--L", "3", "--N", "5", "--T", "8") == 2
     assert capsys.readouterr().err == "error: K=4 exceeds the covariate dimension L*m=3\n"
     assert list(tmp_path.iterdir()) == []
+
+
+RADIUS_MESSAGE = "radius_range must satisfy 0 < lo <= hi < 1"
+SEED_MESSAGE = "expected non-negative integer"  # numpy's own, from the first generator seeded
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    *[("simulate", (flag, "0"), message) for flag, message in (
+        ("--K", "K must be >= 1"), ("--n", "n and m must be >= 1"), ("--m", "n and m must be >= 1"),
+        ("--L", "L must be >= 1"), ("--N", "N must be >= 1"), ("--T", "T must be >= 1"))],
+    ("simulate", ("--seed", "-1"), SEED_MESSAGE),
+    ("simulate", ("--radius-min", "0.9", "--radius-max", "0.5"), RADIUS_MESSAGE),
+    ("simulate", ("--sigma-w1", "inf"), "sigma_w1 must be finite and nonnegative, got inf"),
+    ("fit", ("--K", "0"), "K must be >= 1"),
+    ("fit", ("--L", "0"), "L must be >= 1"),
+    ("fit", ("--seed", "-1"), SEED_MESSAGE),
+    ("fit", ("--restarts", "0"), "n_restarts must be >= 1"),
+    ("fit", ("--iters", "0"), "n_iters must be >= 1"),
+    ("fit", ("--sigma-u", "nan"), "sigma_u must be positive, got nan"),
+    ("fit", ("--sigma-u", "-1"), "sigma_u must be positive, got -1.0"),
+    ("sweep", ("--K", "0"), "K must be >= 1"),
+    ("sweep", ("--n", "0"), "n and m must be >= 1"),
+    ("sweep", ("--L", "0"), "L must be >= 1"),
+    ("sweep", ("--seed", "-1"), "seeds entries must be >= 0"),
+    ("sweep", ("--restarts", "0", "--methods", "baseline"), "n_restarts must be >= 1"),
+    ("sweep", ("--iters", "0"), "n_iters must be >= 1"),
+    ("sweep", ("--radius-min", "0.9", "--radius-max", "0.5"), RADIUS_MESSAGE),
+])
+def test_bad_flag_value_fails_in_the_library(tmp_path, capsys, command, flags, message):
+    # the CLI keeps no copy of these rules: the function that takes the value rejects it
+    if command == "fit":
+        data_path, _ = fit_workspace(tmp_path)
+        base = ("--data", data_path, "--out", str(tmp_path / "est.txt"))
+    else:
+        base = ("--out", str(tmp_path / "x"), "--N", "6", "--T", "8")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, *base, *flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_simulate_unwritable_path(tmp_path):
@@ -380,6 +418,17 @@ def test_eval_horizon_check_and_csv(tmp_path, capsys):
     assert run("eval", "--estimate", est_path, "--mixture", mix_path, "--csv", sweep + ".csv") == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert Path(sweep + ".csv").read_bytes() == before
+
+
+def test_eval_input_dimension_mismatch(tmp_path, capsys):
+    # match_components rejects an estimate of another input dimension; no row is appended
+    model, mix_path = eval_workspace(tmp_path)
+    est_path = str(tmp_path / "est.txt")
+    save_estimate(est_path, MixtureEstimate(model.weights, np.ones((model.K, 8))), 4, 2)
+    csv_path = tmp_path / "scores.csv"
+    assert run("eval", "--estimate", est_path, "--mixture", mix_path, "--csv", str(csv_path)) == 2
+    assert capsys.readouterr().err == "error: coefficient length 8 does not match L*m = 4\n"
+    assert not csv_path.exists()
 
 
 def test_eval_csv_appends_after_a_last_line_without_newline(tmp_path):

@@ -308,6 +308,9 @@ def test_run_sweep_rejects_duplicates(field, values):
     ("methods", ("baseline", "baseline"), "methods has duplicate entries: ('baseline', 'baseline')"),
     ("N_values", (6, 0), "N_values entries must be >= 1"),
     ("T_values", (-8,), "T_values entries must be >= 1"),
+    ("seeds", (3, -1), "seeds entries must be >= 0"),
+    ("n_restarts", 0, "n_restarts must be >= 1"),
+    ("n_iters", 0, "n_iters must be >= 1"),
 ])
 def test_sweep_config_checks_itself(field, values, message):
     with pytest.raises(ValueError) as exc:

@@ -121,6 +121,13 @@ def test_build_stacked_raw_index_disjointness():
                 assert not (windows[a] & windows[b])
 
 
+def test_build_stacked_rejects_a_sigma_u_that_is_not_positive():
+    ds = make_dataset(2, 6, 1, seed=3)
+    for sigma_u in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match=f"^sigma_u must be positive, got {sigma_u!r}$"):
+            build_stacked(ds, 3, sigma_u=sigma_u)
+
+
 def test_build_stacked_response_and_scaling():
     ds = make_dataset(2, 6, 1, seed=3)
     X, y = build_stacked(ds, 3, sigma_u=2.0)

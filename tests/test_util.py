@@ -1,13 +1,15 @@
 """Tests for the shared formatting, atomic-write, seed and child-generator helpers."""
 
 import os
+import stat
 import struct
 
 import numpy as np
 import pytest
 
 from ldsmix import util
-from ldsmix.lds import NoiseConfig, generate_dataset, random_mixture
+from ldsmix.lds import NoiseConfig, generate_dataset, load_dataset, load_mixture, random_mixture
+from ldsmix.pipeline import load_estimate
 from ldsmix.tensor3 import robust_tpm, symmetrize
 from ldsmix.util import (atomic_write_text, child_generators, derive_seed, fmt, format_rows,
                          parse_header, parse_rows, parse_weight, read_text)
@@ -29,6 +31,22 @@ def test_atomic_write_replaces_content(tmp_path):
     assert path.read_text() == "second\n"
     # no temp droppings left behind
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_atomic_write_gives_the_mode_open_gives(tmp_path):
+    # mkstemp makes its file 0600; the output must get 0666 less the umask, as open(path, "w") does
+    for umask in (0o022, 0o077):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "fresh.txt", "data\n")
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(os.stat(tmp_path / "fresh.txt").st_mode)
+        assert mode == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode) == 0o666 & ~umask
+        for name in ("fresh.txt", "plain.txt"):
+            os.unlink(tmp_path / name)
 
 
 def test_atomic_write_missing_directory(tmp_path):
@@ -123,6 +141,20 @@ def test_parse_header_rejections():
         parse_header("demo v1, K=2", "demo", ("K", "L"))
     with pytest.raises(ValueError, match="malformed"):
         parse_header("demo v1, K", "demo", ("K",))
+
+
+def test_repeated_header_field_is_rejected(tmp_path):
+    # a header is a set of fields: a repeat would otherwise let the last value win
+    files = ((load_dataset, "mlds-dataset v1, N=1, T=1, m=1, labeled=0, labeled=1\ntraj 0 label 0\n0 0\n",
+              "labeled"),
+             (load_mixture, "mlds-mixture v1, K=1, n=1, m=1, K=1\nweight 1\n0.5\n1\n1\n", "K"),
+             (load_estimate, "mlds-estimate v1, K=1, L=1, m=1, L=2\nweight 1\n1\n", "L"))
+    for load, text, field in files:
+        path = tmp_path / "file.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load(path)
+        assert str(exc.value) == f"line 1: duplicate header field {field!r}"
 
 
 def test_parse_rows_name_the_line():
