@@ -182,18 +182,16 @@ def impulse_response(ss: StateSpace, L: int) -> np.ndarray:
 def simulate(ss: StateSpace, inputs, process_noise=None, measurement_noise=None) -> np.ndarray:
     """Run x_{t+1} = A x_t + B (u_t + w1_t), y_{t+1} = C x_{t+1} + w2_{t+1} from x_0 = 0.
 
-    inputs has shape (..., T, m), or (T,) for a single-input system; leading
-    axes index independent trajectories. Returns outputs of shape (..., T)
-    with outputs[..., i] = y_{i+1} for i = 0..T-1. Each step applies A, B and
+    inputs has shape (..., T, m); leading axes index independent
+    trajectories. Returns outputs of shape (..., T) with outputs[..., i] =
+    y_{i+1} for i = 0..T-1. Each step applies A, B and
     C with stacked matmuls, which run the same per-trajectory gemv/dot kernels
     as a single trajectory does, so a batch gives the same bits as one call
     per trajectory.
     """
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
-    if inputs.shape[-1] != ss.input_dim:
-        raise ValueError(f"inputs must have {ss.input_dim} columns, got {inputs.shape[-1]}")
+    if inputs.ndim < 2 or inputs.shape[-1] != ss.input_dim:
+        raise ValueError(f"inputs must have shape (..., T, {ss.input_dim}), got {inputs.shape}")
     drive = inputs if process_noise is None else inputs + np.asarray(process_noise, dtype=float)
     x = np.zeros(inputs.shape[:-2] + (ss.order, 1))
     out = np.empty(inputs.shape[:-1])

@@ -133,9 +133,10 @@ def refine_first_moment(est: MixtureEstimate, m1) -> MixtureEstimate:
     """Re-solve the weights against the empirical first moment m1 = X'y / n, coefficients fixed.
 
     Minimizes ||sum_k p_k b_k - m1|| subject to sum_k p_k = 1 through the KKT
-    system, then clamps the weights at 1e-6 and renormalizes. When the
-    coefficient matrix is rank deficient the input is returned unchanged,
-    with a note appended.
+    system, then clamps the weights at 1e-6 and renormalizes, with a note per
+    clamped weight giving its value before the clamp. When the coefficient
+    matrix is rank deficient the input is returned unchanged, with a note
+    appended.
     """
     B = est.coeffs  # (K, d)
     K = est.K
@@ -150,6 +151,8 @@ def refine_first_moment(est: MixtureEstimate, m1) -> MixtureEstimate:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return replace(est, warnings=est.warnings + ("refine skipped: singular KKT system",))
+    notes = tuple(f"component {k}: refined weight {sol[k]:.3e} clamped to {_WEIGHT_CLAMP:g} (low confidence)"
+                  for k in np.flatnonzero(sol[:K] < _WEIGHT_CLAMP))
     p = np.maximum(sol[:K], _WEIGHT_CLAMP)
     p = p / p.sum()
-    return replace(est, weights=p)
+    return replace(est, weights=p, warnings=est.warnings + notes)

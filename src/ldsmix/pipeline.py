@@ -11,7 +11,7 @@ from .errors import InsufficientLengthError
 from .lds import StateSpace, TrajectoryDataset
 from .mlr import (MixtureEstimate, estimate_m2, estimate_whitened_m3, mlr_fit, refine_first_moment,
                   whitening_from_m2)
-from .util import atomic_write_text, fmt, format_rows, parse_rows, parse_weight, read_text
+from .util import fmt, format_rows, parse_rows, parse_weight, read_text
 
 # lag rows per block of the moment passes in mlds_fit: at N=1e4, T=96, L=7
 # every pass, the refine pass over all 130 000 rows included, is one block
@@ -65,15 +65,21 @@ def trajectory_blocks(start: int, stop: int, rows_per_trajectory: int, budget: i
         yield a, min(a + step, stop)
 
 
-def _block_sum(stage, dataset, L, sigma_u, start, stop):
+def _block_sum(name, stage, dataset, L, sigma_u, start, stop):
     # the sum of share * stage(X, y) over the stacked (X, y) of trajectories
     # [start, stop) in blocks of at most _ROW_BUDGET rows, share being the
     # block's fraction of the range's rows; a lone block has share 1.0 and so
-    # gives stage(X, y) bit for bit
+    # gives stage(X, y) bit for bit. Finite data too large for its powers
+    # overflows the moment, which is reported by name with the data's scale.
     total = None
-    for a, b in trajectory_blocks(start, stop, dataset.T // L, _ROW_BUDGET):
-        term = (b - a) / (stop - start) * stage(*build_stacked(dataset, L, sigma_u, a, b))
-        total = term if total is None else total + term
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in trajectory_blocks(start, stop, dataset.T // L, _ROW_BUDGET):
+            term = (b - a) / (stop - start) * stage(*build_stacked(dataset, L, sigma_u, a, b))
+            total = term if total is None else total + term
+    if not np.isfinite(total).all():
+        raise ValueError(f"{name} overflows float64: the outputs reach |y| = {np.abs(dataset.outputs).max():.3g} "
+                         f"and the scaled inputs |u|/sigma_u = {np.abs(dataset.inputs).max() / sigma_u:.3g}; "
+                         "rescale the data")
     return total
 
 
@@ -95,18 +101,19 @@ def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
     N, n2 = dataset.N, (dataset.N + 1) // 2
     if n2 == N:
         raise ValueError("both moment halves must be non-empty")
-    W, P = whitening_from_m2(_block_sum(estimate_m2, dataset, L, sigma_u, 0, n2), K)
-    M3w = _block_sum(lambda X, y: estimate_whitened_m3(X, y, W), dataset, L, sigma_u, n2, N)
+    W, P = whitening_from_m2(_block_sum("M2", estimate_m2, dataset, L, sigma_u, 0, n2), K)
+    M3w = _block_sum("the whitened M3", lambda X, y: estimate_whitened_m3(X, y, W), dataset, L, sigma_u, n2, N)
     est = mlr_fit(M3w, P, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
     if refine:
-        est = refine_first_moment(est, _block_sum(lambda X, y: X.T @ y / y.shape[0], dataset, L, sigma_u, 0, N))
+        m1 = _block_sum("the first moment", lambda X, y: X.T @ y / y.shape[0], dataset, L, sigma_u, 0, N)
+        est = refine_first_moment(est, m1)
     return replace(est, coeffs=est.coeffs / sigma_u)
 
 
 def ols_markov(inputs, outputs, L: int) -> np.ndarray:
     """Per-trajectory least squares over every time t in [L, T] (overlapping windows).
 
-    inputs (T, m) or (T,) with outputs (T,) give the (L, m) Markov parameter
+    inputs (T, m) with outputs (T,) give the (L, m) Markov parameter
     estimate, row t-1 being g(t); inputs (..., T, m) with outputs (..., T)
     fit every trajectory along the leading axes and give (..., L, m). Each
     trajectory is solved by QR. A rank-deficient one (fewer rows than L*m
@@ -114,11 +121,9 @@ def ols_markov(inputs, outputs, L: int) -> np.ndarray:
     minimum-norm solution instead, with one warning per call.
     """
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
     outputs = np.asarray(outputs, dtype=float)
-    if inputs.ndim == 2:
-        outputs = outputs.reshape(-1)
+    if inputs.ndim < 2:
+        raise ValueError(f"inputs must have shape (..., T, m), got {inputs.shape}")
     *lead, T, m = inputs.shape
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -203,11 +208,6 @@ def estimate_text(est: MixtureEstimate, L: int, m: int) -> str:
     for k in range(est.K):
         lines += [f"weight {fmt(est.weights[k])}", format_rows(est.coeffs[k].reshape(L, m))]
     return "\n".join(lines) + "\n"
-
-
-def save_estimate(path, est: MixtureEstimate, L: int, m: int) -> None:
-    """Write the mlds-estimate v1 text format (17 significant digits, atomic)."""
-    atomic_write_text(path, estimate_text(est, L, m))
 
 
 def load_estimate(path):

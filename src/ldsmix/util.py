@@ -7,6 +7,7 @@ per line, parse_rows reads such lines back, read_text opens a file and checks it
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -33,17 +34,22 @@ def format_rows(a) -> str:
 def atomic_write_text(path, text: str) -> None:
     """Write to a temp file in the target directory, then rename over the target.
 
-    The file gets the mode open(path, "w") gives a new file: 0666 less the umask.
+    The file gets the mode open(path, "w") leaves: a rewritten file keeps its
+    mode, a new one gets 0666 less the umask.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    umask = os.umask(0)
-    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp made it 0600
+        os.chmod(tmp, mode)  # mkstemp made it 0600
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -1,11 +1,11 @@
-"""Reference implementations used only by the tests: tensor operations, the per-item loops and the fits from given moments or one array."""
+"""Reference implementations used only by the tests: tensor operations, the per-item loops, the fits from given moments or one array, and an estimate file writer."""
 
 from dataclasses import replace
 
 import numpy as np
 
 from ldsmix import mlr
-from ldsmix.pipeline import build_stacked
+from ldsmix.pipeline import build_stacked, estimate_text
 from ldsmix.tensor3 import symmetrize
 
 
@@ -203,3 +203,9 @@ def mlds_fit_one_array(dataset, L, K, sigma_u=1.0, n_restarts=None, n_iters=100,
     if refine:
         est = mlr.refine_first_moment(est, X.T @ y / y.shape[0])
     return replace(est, coeffs=est.coeffs / sigma_u)
+
+
+def save_estimate(path, est, L, m):
+    """Write est as an mlds-estimate v1 file, the text that fit writes before any realization."""
+    with open(path, "w") as fh:
+        fh.write(estimate_text(est, L, m))

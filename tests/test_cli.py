@@ -13,9 +13,11 @@ import pytest
 from ldsmix import pipeline
 from ldsmix.cli import _build_parser, main
 from ldsmix.evaluate import METHODS, aggregate, load_records_csv, match_components
-from ldsmix.lds import TrajectoryDataset, load_mixture, save_dataset, save_mixture
+from ldsmix.lds import (TrajectoryDataset, generate_dataset, load_mixture, random_mixture, save_dataset,
+                        save_mixture)
 from ldsmix.mlr import MixtureEstimate
-from ldsmix.pipeline import load_estimate, save_estimate
+from ldsmix.pipeline import load_estimate
+from oracles import save_estimate
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -141,6 +143,24 @@ def test_fit_deterministic(tmp_path):
         assert run("fit", "--data", data_path, "--out", out, "--L", "4", "--K", "2",
                    "--seed", "5") == 0
     assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+def test_rewritten_outputs_stay_private(tmp_path):
+    # a 0600 output rewritten under umask 022 stays 0600, as open(path, "w") leaves it
+    data_path, mix_path = fit_workspace(tmp_path, N=30, T=14)
+    out = tmp_path / "e.txt"
+    out.write_text("old\n")
+    for path in (mix_path, out):
+        os.chmod(path, 0o600)
+    old = os.umask(0o022)
+    try:
+        save_mixture(mix_path, load_mixture(mix_path))
+        assert run("fit", "--data", data_path, "--out", str(out), "--L", "4", "--K", "2") == 0
+    finally:
+        os.umask(old)
+    for path in (mix_path, out):
+        assert os.stat(path).st_mode & 0o777 == 0o600, path
+    assert load_estimate(out)[1:] == (4, 1)
 
 
 def test_fit_insufficient_length(tmp_path):
@@ -276,6 +296,23 @@ def test_fit_non_finite_last_block_exit_code(tmp_path, capsys, monkeypatch):
         assert run(*fit) == 2
     assert capsys.readouterr().err == "error: X and y must be finite\n"
     assert not (tmp_path / "est.txt").exists()
+
+
+@pytest.mark.parametrize("scale, moment", [(1e103, "the whitened M3"), (1e160, "M2")])
+def test_fit_overflowing_outputs_name_the_scale(tmp_path, capsys, scale, moment):
+    # finite outputs whose cubes (1e103) or squares (1e160) overflow float64
+    model = random_mixture(3, 3, 1, 7, seed=0)
+    data = generate_dataset(model, 400, 48, seed=1)
+    path = str(tmp_path / "big.dataset.txt")
+    save_dataset(path, TrajectoryDataset(data.inputs, data.outputs * scale, data.labels))
+    out = tmp_path / "est.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("fit", "--data", path, "--out", str(out), "--L", "7", "--K", "3") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {moment} overflows float64: the outputs reach |y| = ")
+    assert "rescale the data" in err
+    assert not out.exists()
 
 
 def eval_workspace(tmp_path, L=4):

@@ -202,6 +202,13 @@ def test_rollout_all_zero():
     assert np.array_equal(outputs, np.zeros(10))
 
 
+def test_simulate_takes_only_trajectory_major_inputs():
+    ss = random_stable_system(2, 1, 0.6, seed=0)
+    for inputs in (np.zeros(10), np.zeros(()), np.zeros((10, 2))):
+        with pytest.raises(ValueError, match=r"inputs must have shape \(\.\.\., T, 1\)"):
+            simulate(ss, inputs)
+
+
 def test_simulate_impulse_reproduces_markov():
     for seed in range(5):
         ss = random_stable_system(3, 1, 0.8, seed=seed)

@@ -333,6 +333,19 @@ def test_refine_matches_nullspace_oracle():
         assert (out.weights > 0).all()
 
 
+def test_refine_notes_each_clamped_weight():
+    # with unit basis coefficients the KKT solution is m1 itself when m1 sums to 1
+    est = MixtureEstimate(np.array([0.5, 0.3, 0.2]), np.eye(3), ("earlier note",))
+    out = refine_first_moment(est, np.array([1.25, -0.2, -0.05]))
+    clamped = np.array([1.25, 1e-6, 1e-6])
+    assert np.allclose(out.weights, clamped / clamped.sum(), rtol=0.0, atol=1e-15)
+    assert np.array_equal(out.coeffs, est.coeffs)
+    assert out.warnings == ("earlier note",
+                            "component 1: refined weight -2.000e-01 clamped to 1e-06 (low confidence)",
+                            "component 2: refined weight -5.000e-02 clamped to 1e-06 (low confidence)")
+    assert refine_first_moment(est, np.array([0.7, 0.2, 0.1])).warnings == ("earlier note",)
+
+
 def test_refine_rank_deficient_returns_unchanged():
     X = np.eye(2)
     y = np.ones(2)

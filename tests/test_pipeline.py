@@ -14,8 +14,8 @@ from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset
                         random_stable_system)
 from ldsmix.mlr import MixtureEstimate
 from ldsmix.pipeline import (build_stacked, estimate_text, ho_kalman, load_estimate,
-                             mlds_fit, ols_markov, save_estimate, stack_times)
-from oracles import lag_windows_loop, mlds_fit_one_array, ols_markov_lstsq
+                             mlds_fit, ols_markov, stack_times)
+from oracles import lag_windows_loop, mlds_fit_one_array, ols_markov_lstsq, save_estimate
 
 
 def fir_system(m=1, gain=1.0):
@@ -500,6 +500,13 @@ def test_ols_markov_batch_rejects_mismatched_outputs():
             ols_markov(inputs, outputs, 2)
     with pytest.raises(InsufficientLengthError):
         ols_markov(np.zeros((3, 3, 1)), np.zeros((3, 3)), 4)
+
+
+def test_ols_markov_takes_only_trajectory_major_arrays():
+    with pytest.raises(ValueError, match=r"inputs must have shape \(\.\.\., T, m\)"):
+        ols_markov(np.zeros(10), np.zeros(10), 2)
+    with pytest.raises(ValueError, match="same T steps"):
+        ols_markov(np.zeros((10, 1)), np.zeros((10, 1)), 2)
 
 
 def test_ho_kalman_scalar_geometric():

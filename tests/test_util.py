@@ -49,6 +49,23 @@ def test_atomic_write_gives_the_mode_open_gives(tmp_path):
             os.unlink(tmp_path / name)
 
 
+def test_atomic_write_keeps_a_rewritten_file_mode(tmp_path):
+    # open(path, "w") keeps an existing file's mode whatever the umask; so does a rewrite
+    old = os.umask(0o022)
+    try:
+        for name in ("fresh.txt", "plain.txt"):
+            (tmp_path / name).write_text("old\n")
+            os.chmod(tmp_path / name, 0o600)
+        atomic_write_text(tmp_path / "fresh.txt", "data\n")
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    for name in ("fresh.txt", "plain.txt"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o600, name
+    assert (tmp_path / "fresh.txt").read_text() == "data\n"
+
+
 def test_atomic_write_missing_directory(tmp_path):
     with pytest.raises(OSError):
         atomic_write_text(tmp_path / "no" / "dir" / "x.txt", "data")
