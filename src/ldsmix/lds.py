@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import itertools
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMixtureError
-from .util import atomic_write_text, child_generators, fmt, format_rows, parse_rows, parse_weight, read_text
+from .util import (atomic_write_text, child_generators, fmt, format_rows, header_values, parse_rows, parse_weight,
+                   read_text)
 
 # trajectories whose draws generate_dataset holds in its scratch block at a time
 _DRAW_BLOCK = 64
+# values of trajectories that save_dataset formats and load_dataset parses at a time (about 1.5 MB of text)
+_TEXT_BLOCK = 1 << 16
+_DATASET_KEYS = ("N", "T", "m", "labeled")
+# the line breaks of str.splitlines, past '\n' and '\r', that file iteration does not break on
+# and np.loadtxt reads as whitespace
+_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # random_mixture's floor on sigma_K and its number of draws
 _SIGMA_MIN = 1e-8
 _MAX_ATTEMPTS = 20
@@ -302,14 +311,38 @@ def random_mixture(K: int, n: int, m: int, L: int, radius_range=(0.6, 0.9), seed
     )
 
 
+def _block_trajectories(T: int, m: int) -> int:
+    # trajectories of T rows of m + 1 values that make up one block of _TEXT_BLOCK values
+    return max(1, _TEXT_BLOCK // (T * (m + 1)))
+
+
 def save_dataset(path, ds: TrajectoryDataset) -> None:
-    """Write the mlds-dataset v1 text format (17 significant digits, atomic)."""
-    labeled = 1 if ds.labels is not None else 0
-    labs = ds.labels.tolist() if labeled else ["-"] * ds.N
-    rows = np.concatenate([ds.inputs, ds.outputs[:, :, None]], axis=2)
-    parts = [f"mlds-dataset v1, N={ds.N}, T={ds.T}, m={ds.m}, labeled={labeled}"]
-    parts += [f"traj {i} label {lab}\n" + format_rows(r) for i, (lab, r) in enumerate(zip(labs, rows))]
-    atomic_write_text(path, "\n".join(parts) + "\n")
+    """Write the mlds-dataset v1 text format (17 significant digits, atomic), one block of trajectories at a time."""
+    labs = ds.labels.tolist() if ds.labels is not None else ["-"] * ds.N
+    step = _block_trajectories(ds.T, ds.m)
+
+    def chunks():
+        yield f"mlds-dataset v1, N={ds.N}, T={ds.T}, m={ds.m}, labeled={int(ds.labels is not None)}\n"
+        for lo in range(0, ds.N, step):
+            rows = np.concatenate([ds.inputs[lo:lo + step], ds.outputs[lo:lo + step, :, None]], axis=2)
+            yield "".join([f"traj {i} label {labs[i]}\n{format_rows(r)}\n" for i, r in enumerate(rows, lo)])
+
+    atomic_write_text(path, chunks())
+
+
+def _head_label(line: str, i: int, labeled: int):
+    # the label on trajectory i's 'traj i label <k|->' line, None in an unlabeled file; errors lack the line number
+    toks = line.split()
+    if len(toks) != 4 or toks[0] != "traj" or toks[2] != "label" or toks[1] != str(i):
+        raise ValueError(f"expected 'traj {i} label <k|->', got {line!r}")
+    if not labeled:
+        if toks[3] != "-":
+            raise ValueError("unlabeled dataset must use '-' labels")
+        return None
+    try:
+        return int(toks[3])
+    except ValueError:
+        raise ValueError("labeled dataset needs an integer label") from None
 
 
 def _parse_body(rows, m: int, T: int) -> np.ndarray:
@@ -317,16 +350,81 @@ def _parse_body(rows, m: int, T: int) -> np.ndarray:
     return np.array([parse_rows(rows[j:j + T], m + 1, 3 + j // T * (T + 1)) for j in range(0, len(rows), T)])
 
 
+def _loadtxt(rows) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns when every row is blank
+        return np.loadtxt(rows, comments=None, ndmin=2)
+
+
 def load_dataset(path) -> TrajectoryDataset:
     """Read the mlds-dataset v1 text format; parse errors and non-finite values report line numbers.
 
-    Numeric rows are converted in one np.loadtxt pass. loadtxt accepts a
-    subset of what float() accepts (no '1_0', no non-ASCII digits) and skips
-    blank rows, so when it fails or returns another shape the rows are parsed
-    again one by one, which gives float()'s values or the first bad line.
+    The file is read one block of trajectories at a time. A file that block
+    reading cannot vouch for (a bad line, a value np.loadtxt rejects or reads
+    as non-finite, a line count that is off, a line break that str.splitlines
+    sees but file iteration does not, an undecodable byte, a header larger
+    than the file) is read again whole by _load_whole, whose values and
+    errors define the format.
     """
-    lines, (N, T, m, labeled) = read_text(path, "mlds-dataset", ("N", "T", "m", "labeled"),
-                                          flags=("labeled",))
+    try:
+        return _load_blocks(path)
+    except (ValueError, OverflowError):  # UnicodeDecodeError is a ValueError
+        pass
+    return _load_whole(path)
+
+
+def _splitlines_only(text: str) -> bool:
+    # one memchr scan per character, far faster than a regex class
+    return any(c in text for c in _SPLITLINES_ONLY)
+
+
+def _load_blocks(path) -> TrajectoryDataset:
+    # each block's rows go through one np.loadtxt call and are copied into the final
+    # arrays; raises ValueError wherever _load_whole must decide
+    with open(path) as fh:
+        line = fh.readline()
+        if _splitlines_only(line):
+            raise ValueError("a line break that only str.splitlines sees")
+        N, T, m, labeled = header_values(line, "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
+        if os.fstat(fh.fileno()).st_size < N * T * (m + 1):
+            raise ValueError("a file too small for its header")  # every value takes a byte at least
+        U, Y = np.empty((N, T, m)), np.empty((N, T))
+        labels = np.empty(N, dtype=int) if labeled else None
+        step = _block_trajectories(T, m)
+        for lo in range(0, N, step):
+            n = min(step, N - lo)
+            rows = _loadtxt(_numeric_lines(fh, range(lo, lo + n), T, labeled, labels))
+            if rows.shape != (n * T, m + 1):
+                raise ValueError("rows that np.loadtxt skips or splits otherwise")
+            U[lo:lo + n] = rows[:, :m].reshape(n, T, m)
+            Y[lo:lo + n] = rows[:, m].reshape(n, T)
+            del rows  # so that two blocks' rows never coexist
+        if fh.read(1):
+            raise ValueError("text after the last trajectory")
+    return TrajectoryDataset(U, Y, labels)  # raises ValueError on a non-finite value
+
+
+def _numeric_lines(fh, trajectories, T: int, labeled: int, labels):
+    # the T numeric lines of each trajectory in turn, read one trajectory at a time; its
+    # head line fills labels, and a short read, a bad head line or a line break that only
+    # str.splitlines sees raises ValueError
+    for i in trajectories:
+        lines = list(itertools.islice(fh, T + 1))
+        if len(lines) != T + 1 or _splitlines_only("".join(lines)):
+            raise ValueError("a short trajectory or a line break that only str.splitlines sees")
+        label = _head_label(lines[0], i, labeled)
+        if labeled:
+            labels[i] = label
+        yield from itertools.islice(lines, 1, None)
+
+
+def _load_whole(path) -> TrajectoryDataset:
+    # the exact reader: the whole file's lines at once. Numeric rows are converted in
+    # one np.loadtxt pass. loadtxt accepts a subset of what float() accepts (no '1_0',
+    # no non-ASCII digits) and skips blank rows, so when it fails or returns another
+    # shape the rows are parsed again one by one, which gives float()'s values or the
+    # first bad line
+    lines, (N, T, m, labeled) = read_text(path, "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
     expected = 1 + N * (T + 1)
     if len(lines) != expected:
         raise ValueError(f"expected {expected} lines for N={N}, T={T}, got {len(lines)}")
@@ -334,26 +432,16 @@ def load_dataset(path) -> TrajectoryDataset:
     heads = body[::T + 1]
     del body[::T + 1]
     labels = np.empty(N, dtype=int) if labeled else None
-
-    def fail(message):
-        _parse_body(body[:i * T], m, T)  # a bad numeric row above trajectory i's line is reported first
-        raise ValueError(f"line {2 + i * (T + 1)}: {message}") from None
-
     for i, line in enumerate(heads):
-        toks = line.split()
-        if len(toks) != 4 or toks[0] != "traj" or toks[2] != "label" or toks[1] != str(i):
-            fail(f"expected 'traj {i} label <k|->', got {line!r}")
+        try:
+            label = _head_label(line, i, labeled)
+        except ValueError as exc:
+            _parse_body(body[:i * T], m, T)  # a bad numeric row above trajectory i's line is reported first
+            raise ValueError(f"line {2 + i * (T + 1)}: {exc}") from None
         if labeled:
-            try:
-                labels[i] = int(toks[3])
-            except ValueError:
-                fail("labeled dataset needs an integer label")
-        elif toks[3] != "-":
-            fail("unlabeled dataset must use '-' labels")
+            labels[i] = label
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns when every row is blank
-            rows = np.loadtxt(body, comments=None, ndmin=2)
+        rows = _loadtxt(body)
     except ValueError:
         rows = None
     if rows is None or rows.shape != (N * T, m + 1):

@@ -31,24 +31,24 @@ def format_rows(a) -> str:
     return "\n".join([row] * a.shape[0]) % tuple(a.ravel().tolist())
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write to a temp file in the target directory, then rename over the target.
+def atomic_write_text(path, text) -> None:
+    """Write text, a str or an iterable of str chunks written in turn, to a temp file, then rename it over the target.
 
-    The file gets the mode open(path, "w") leaves: a rewritten file keeps its
-    mode, a new one gets 0666 less the umask.
+    The file gets what open(path, "w") leaves: a symlink stays a link and its
+    target takes the text, a rewritten file keeps its mode, and a new one gets
+    0666 less the umask.
     """
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
+    path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path))
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.chmod(tmp, mode)  # mkstemp made it 0600
         os.replace(tmp, path)
     except BaseException:
@@ -76,6 +76,8 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# keys child_generators hashes at a time; the study's datasets (N <= 1000) and 60 power-method restarts take one block
+_SEED_BLOCK = 4096
 
 
 def _hash_consts(init, mult, n) -> np.ndarray:
@@ -86,8 +88,8 @@ def _hash_consts(init, mult, n) -> np.ndarray:
     return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def _seed_words(prefix, count) -> np.ndarray:
-    # generate_state(4, uint64) of SeedSequence(prefix + (key,)) for the keys 1..count,
+def _seed_words(prefix, first, count) -> np.ndarray:
+    # generate_state(4, uint64) of SeedSequence(prefix + (key,)) for the count keys from first,
     # as a (count, 4) uint64 array. Row w of entropy is entropy word w of every
     # key. Each step below hashes several words at once with the constants that
     # SeedSequence's one-word-at-a-time loop would use; no word hashed in a step is changed
@@ -102,7 +104,7 @@ def _seed_words(prefix, count) -> np.ndarray:
                 break
     entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), count), dtype=np.uint32)
     entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(1, count + 1, dtype=np.uint32)
+    entropy[len(words)] = np.arange(first, first + count, dtype=np.uint32)
     consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
     used = 0
 
@@ -125,9 +127,9 @@ def _seed_words(prefix, count) -> np.ndarray:
         pool = mix(pool, hashmix(entropy[src], _POOL_SIZE))
     consts = _hash_consts(_INIT_B, _MULT_B, 8)
     state = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ consts[:8]) * consts[1:]
-    state = (state ^ (state >> 16)).astype(np.uint64)
+    state ^= state >> 16
     # the uint64 words are little-endian pairs of the uint32 words
-    return (state[0::2] | state[1::2] << np.uint64(32)).T
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
 def _pcg64_state(s_hi, s_lo, q_hi, q_lo) -> dict:
@@ -139,9 +141,10 @@ def _pcg64_state(s_hi, s_lo, q_hi, q_lo) -> dict:
 def child_generators(prefix, count: int):
     """Yield one reused Generator count times, the i-th time in the state default_rng(SeedSequence(prefix + (i + 1,))) starts from.
 
-    SeedSequence's hash runs on uint32 arrays for all count keys at once, and
-    each result is turned into PCG64's seeding, so the draws have the same
-    bits as one fresh Generator per key. Item 0 is also seeded by numpy itself
+    SeedSequence's hash runs on uint32 arrays for _SEED_BLOCK keys at a time,
+    each block hashed when its first item is asked for, and each result is
+    turned into PCG64's seeding, so the draws have the same bits as one fresh
+    Generator per key. Item 0 is also seeded by numpy itself
     on every call: that raises numpy's own error for a negative or non-integer
     prefix, and a RuntimeError if the two seedings disagree. Take each item's
     draws before asking for the next one.
@@ -151,17 +154,21 @@ def child_generators(prefix, count: int):
     if not 0 <= count <= _MASK32:
         raise ValueError(f"count must lie in [0, 2**32), got {count}")
     template = bitgen.state
-    words = _seed_words(prefix, max(1, count))
+    words = _seed_words(prefix, 1, min(max(1, count), _SEED_BLOCK))
     if _pcg64_state(*words[0].tolist()) != template["state"]:
         raise RuntimeError(f"vectorized seeding of {prefix + (1,)} disagrees with numpy's PCG64")
-    return _reseeded(bitgen, template, words[:count])
+    return _reseeded(bitgen, template, prefix, count, words)
 
 
-def _reseeded(bitgen, template, words):
+def _reseeded(bitgen, template, prefix, count, words):
+    # words holds the first block's seeding; each later block is hashed when it is reached
     rng = np.random.Generator(bitgen)
-    for row in words:
-        bitgen.state = dict(template, state=_pcg64_state(*row.tolist()))
-        yield rng
+    for lo in range(0, count, _SEED_BLOCK):
+        if lo:
+            words = _seed_words(prefix, lo + 1, min(count - lo, _SEED_BLOCK))
+        for row in words:
+            bitgen.state = dict(template, state=_pcg64_state(*row.tolist()))
+            yield rng
 
 
 def parse_header(line: str, tag: str, keys: tuple[str, ...]) -> dict[str, int]:
@@ -216,13 +223,18 @@ def parse_rows(lines, count: int, lineno: int) -> np.ndarray:
 def read_text(path, tag: str, keys: tuple[str, ...], flags: tuple[str, ...] = ()):
     """Read a 'tag v1, k1=v1, ...' text file; returns (lines, header values in keys order).
 
-    Header values must be >= 1, except those named in flags, which must be 0 or 1.
+    The header is checked by header_values.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError("line 1: empty file")
-    head = parse_header(lines[0], tag, keys)
+    return lines, header_values(lines[0], tag, keys, flags)
+
+
+def header_values(line: str, tag: str, keys: tuple[str, ...], flags: tuple[str, ...] = ()) -> tuple[int, ...]:
+    """The values of a header line in keys order; they must be >= 1, except those named in flags, which must be 0 or 1."""
+    head = parse_header(line, tag, keys)
     if any(head[k] not in (0, 1) if k in flags else head[k] < 1 for k in keys):
         raise ValueError("line 1: header values out of range")
-    return lines, tuple(head[k] for k in keys)
+    return tuple(head[k] for k in keys)

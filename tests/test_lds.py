@@ -1,6 +1,7 @@
 """Tests for system generation, simulation, mixtures, and dataset files."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -489,6 +490,102 @@ def test_dataset_file_rejects_truncation(tmp_path):
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+def test_save_dataset_blocks_match_per_value_format(tmp_path, monkeypatch):
+    # two trajectories per block, so N runs through one, two and three blocks with a partial last one
+    T, m = 3, 2
+    monkeypatch.setattr(lds, "_TEXT_BLOCK", 2 * T * (m + 1))
+    rng = np.random.default_rng(5)
+    path = tmp_path / "d.txt"
+    for N in (1, 2, 3, 5):
+        inputs, outputs = rng.normal(size=(N, T, m)), rng.normal(size=(N, T))
+        for labels in (None, rng.integers(0, 3, size=N)):
+            save_dataset(path, TrajectoryDataset(inputs, outputs, labels))
+            assert path.read_bytes() == dataset_text_loop(inputs, outputs, labels).encode(), (N, labels)
+
+
+def load_corpus():
+    """LOAD_BASE under every edit of test_load_dataset_rows_accept_set, then line-level faults, as bytes."""
+    [mark] = test_load_dataset_rows_accept_set.pytestmark
+    files = []
+    for edits, _ in mark.args[1]:
+        lines = list(LOAD_BASE)
+        for lineno, text in edits.items():
+            lines[lineno - 1] = text
+        files.append("\n".join(lines) + "\n")
+    text = "\n".join(LOAD_BASE) + "\n"
+    # str.splitlines breaks lines at these; file iteration does not, and np.loadtxt reads them as spaces
+    files += [text.replace("3 4", f"3{sep}4") for sep in ("\x0c", "\x85", "\u2028")]
+    files.append(text.replace("labeled=1", "labeled=1\x1c"))
+    # every row of trajectory 0 one number too wide: a block np.loadtxt reads without complaint
+    files.append(text.replace("1 2\n3 4\n5 6", "1 2 0\n3 4 0\n5 6 0"))
+    files += [text.replace("\n", "\r\n"), text.replace("\n", "\r"), text[:-1], text + "\n", text + "13 14\n",
+              "\n".join(LOAD_BASE[:-1]) + "\n", text.replace("N=2", "N=1000000000000"), text]
+    return [f.encode() for f in files] + [text.encode().replace(b"3 4", b"3 \xff4")]
+
+
+def load_outcome(load, path):
+    try:
+        data = load(path)
+    except ValueError as exc:  # UnicodeDecodeError included
+        return type(exc), str(exc)
+    labels = None if data.labels is None else data.labels.tolist()
+    return data.inputs.tobytes(), data.outputs.tobytes(), labels
+
+
+@pytest.mark.parametrize("trajectories_per_block", [1, None])
+def test_load_dataset_blocks_agree_with_the_whole_file_reader(tmp_path, monkeypatch, trajectories_per_block):
+    # LOAD_BASE has T=3, m=1: one trajectory per block, or both in one block by default
+    if trajectories_per_block:
+        monkeypatch.setattr(lds, "_TEXT_BLOCK", trajectories_per_block * 3 * 2)
+    path = tmp_path / "d.txt"
+    for raw in load_corpus():
+        path.write_bytes(raw)
+        assert load_outcome(load_dataset, path) == load_outcome(lds._load_whole, path), raw
+
+
+def test_load_dataset_reads_a_clean_file_by_blocks(tmp_path, monkeypatch):
+    data = generate_dataset(two_scalar_mixture(), 9, 4, NoiseConfig(), seed=3)
+    path = tmp_path / "d.txt"
+    save_dataset(path, data)
+    monkeypatch.setattr(lds, "_TEXT_BLOCK", 2 * 4 * 2)
+
+    def whole(path):
+        raise AssertionError("a clean file went to the whole-file reader")
+
+    monkeypatch.setattr(lds, "_load_whole", whole)
+    back = load_dataset(path)
+    assert back.inputs.tobytes() == data.inputs.tobytes()
+    assert back.outputs.tobytes() == data.outputs.tobytes()
+    assert np.array_equal(back.labels, data.labels)
+
+
+def test_dataset_codec_memory_does_not_grow_with_n(tmp_path):
+    # the codec holds one block of text at a time, never the file's; at T=48 a block is
+    # 682 trajectories, so both files fill at least one block, and the second spans three
+    T = 48
+    rng = np.random.default_rng(0)
+    save_peaks = []
+    for N in (1000, 2000):
+        data = TrajectoryDataset(rng.normal(size=(N, T, 1)), rng.normal(size=(N, T)), rng.integers(0, 3, size=N))
+        path = tmp_path / f"d{N}.txt"
+        tracemalloc.start()
+        try:
+            save_dataset(path, data)
+            save_peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(save_peaks[1] - save_peaks[0]) < 0.5 * 2**20, save_peaks
+    block_text = path.stat().st_size / N * lds._block_trajectories(T, 1)
+    tracemalloc.start()
+    try:
+        back = load_dataset(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = back.inputs.nbytes + back.outputs.nbytes + back.labels.nbytes
+    assert load_peak - arrays < block_text, (load_peak, arrays, block_text)
 
 
 def test_mixture_file_round_trip(tmp_path):

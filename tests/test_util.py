@@ -1,14 +1,16 @@
 """Tests for the shared formatting, atomic-write, seed and child-generator helpers."""
 
+import itertools
 import os
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ldsmix import util
-from ldsmix.lds import NoiseConfig, generate_dataset, load_dataset, load_mixture, random_mixture
+from ldsmix.lds import NoiseConfig, generate_dataset, load_dataset, load_mixture, random_mixture, save_mixture
 from ldsmix.pipeline import load_estimate
 from ldsmix.tensor3 import robust_tpm, symmetrize
 from ldsmix.util import (atomic_write_text, child_generators, derive_seed, fmt, format_rows,
@@ -71,6 +73,25 @@ def test_atomic_write_missing_directory(tmp_path):
         atomic_write_text(tmp_path / "no" / "dir" / "x.txt", "data")
 
 
+def test_atomic_write_through_a_symlink(tmp_path):
+    # open(path, "w") writes through a link: the link stays, and its target takes the text and keeps its mode
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "sub" / "real.txt"
+    target.write_text("old\n")
+    os.chmod(target, 0o600)
+    link = tmp_path / "link.txt"
+    link.symlink_to("sub/real.txt")
+    model = random_mixture(2, 2, 1, 3, seed=0)
+    save_mixture(link, model)
+    save_mixture(tmp_path / "plain.txt", model)
+    assert link.is_symlink() and os.readlink(link) == "sub/real.txt"
+    assert target.read_bytes() == (tmp_path / "plain.txt").read_bytes()
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
+    # the temp file was made beside the target and renamed over it
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "plain.txt", "sub"]
+    assert os.listdir(tmp_path / "sub") == ["real.txt"]
+
+
 def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(3, 5, 7) == derive_seed(3, 5, 7)
     seen = {derive_seed(a, b) for a in range(8) for b in range(8)}
@@ -96,6 +117,33 @@ def test_child_generators_match_seed_sequence():
     assert list(child_generators((4, 2), 0)) == []
     with pytest.raises(ValueError, match="count"):
         child_generators((4, 2), 2**32)
+
+
+def test_child_generators_match_seed_sequence_across_blocks(monkeypatch):
+    # keys are hashed a block at a time; the bits do not depend on where the blocks end
+    def check(prefix, count, items):
+        for i, rng in enumerate(child_generators(prefix, count)):
+            if i in items:
+                assert rng.bit_generator.state == np.random.PCG64(np.random.SeedSequence(prefix + (i + 1,))).state
+        assert i == count - 1
+
+    block = util._SEED_BLOCK
+    check((5, 2), 2 * block + 3, {0, block - 1, block, block + 1, 2 * block, 2 * block + 2})
+    monkeypatch.setattr(util, "_SEED_BLOCK", 7)
+    for prefix, count in (((2**70 + 3, 2), 30), ((7, 1, 3), 28)):
+        check(prefix, count, set(range(count)))
+
+
+def test_child_generators_hold_one_block_of_keys():
+    next(child_generators((5, 2), 100000))  # numpy's one-time allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        for _ in itertools.islice(child_generators((5, 2), 100000), util._SEED_BLOCK + 1):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
 
 
 def test_child_generators_guard_catches_a_wrong_state(monkeypatch):
