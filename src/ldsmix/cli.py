@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from .errors import DecompositionError, DegenerateMixtureError
 from .evaluate import (DEFAULT_METHODS, METHODS, SweepConfig, match_components, run_sweep, write_levels,
@@ -181,19 +182,23 @@ def cmd_fit(args) -> int:
     est = mlds_fit(data, args.L, args.K, sigma_u=args.sigma_u, n_restarts=args.restarts,
                    n_iters=args.iters, seed=args.seed, refine=args.refine)
     text = estimate_text(est, args.L, data.m)
+    notes = list(est.warnings)
     if args.ho_kalman is not None:
         extra = []
         for k in range(est.K):
-            try:
-                ss = ho_kalman(est.coeffs[k].reshape(args.L, data.m), args.ho_kalman)
-            except ValueError as exc:
-                extra.append(f"realization {k} failed: {exc}")
-                continue
-            extra += [f"realization {k} order {args.ho_kalman}",
-                      format_rows(ss.A), format_rows(ss.B), format_rows(ss.C)]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")  # even under -W error
+                try:
+                    ss = ho_kalman(est.coeffs[k].reshape(args.L, data.m), args.ho_kalman)
+                except ValueError as exc:
+                    extra.append(f"realization {k} failed: {exc}")
+                else:
+                    extra += [f"realization {k} order {args.ho_kalman}",
+                              format_rows(ss.A), format_rows(ss.B), format_rows(ss.C)]
+            notes += [f"realization {k}: {w.message}" for w in caught]
         text += "\n".join(extra) + "\n"
     atomic_write_text(args.out, text)
-    for note in est.warnings:
+    for note in notes:
         print(f"warning: {note}")
     print("weights: " + " ".join(f"{w:.6g}" for w in est.weights))
     print(f"wrote {args.out}")

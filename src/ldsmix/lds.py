@@ -15,12 +15,10 @@ from .util import (atomic_write_text, child_generators, fmt, format_rows, header
 
 # trajectories whose draws generate_dataset holds in its scratch block at a time
 _DRAW_BLOCK = 64
-# values of trajectories that save_dataset formats and load_dataset parses at a time (about 1.5 MB of text)
+# values of trajectories that save_dataset formats and writes at a time (about 1.5 MB of text),
+# and characters that load_dataset reads at a time
 _TEXT_BLOCK = 1 << 16
 _DATASET_KEYS = ("N", "T", "m", "labeled")
-# the line breaks of str.splitlines, past '\n' and '\r', that file iteration does not break on
-# and np.loadtxt reads as whitespace
-_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # random_mixture's floor on sigma_K and its number of draws
 _SIGMA_MIN = 1e-8
 _MAX_ATTEMPTS = 20
@@ -340,121 +338,89 @@ def _head_label(line: str, i: int, labeled: int):
             raise ValueError("unlabeled dataset must use '-' labels")
         return None
     try:
-        return int(toks[3])
+        label = int(toks[3])
     except ValueError:
         raise ValueError("labeled dataset needs an integer label") from None
+    if not -(1 << 63) <= label < 1 << 63:
+        raise ValueError(f"label {toks[3]} does not fit a 64-bit integer")
+    return label
 
 
-def _parse_body(rows, m: int, T: int) -> np.ndarray:
-    # trajectory i's T numeric rows are rows[i*T:(i+1)*T], from file line 3 + i * (T + 1)
-    return np.array([parse_rows(rows[j:j + T], m + 1, 3 + j // T * (T + 1)) for j in range(0, len(rows), T)])
-
-
-def _loadtxt(rows) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns when every row is blank
-        return np.loadtxt(rows, comments=None, ndmin=2)
+def _text_blocks(fh):
+    # the lines of fh.read().splitlines() in lists, read _TEXT_BLOCK characters at a time; each
+    # read is split after its last '\n', which no line break spans, and the rest carried over
+    tail = ""
+    while chunk := fh.read(_TEXT_BLOCK):
+        done, sep, tail = (tail + chunk).rpartition("\n")
+        yield (done + sep).splitlines()
+    yield tail.splitlines()
 
 
 def load_dataset(path) -> TrajectoryDataset:
-    """Read the mlds-dataset v1 text format; parse errors and non-finite values report line numbers.
+    """Read the mlds-dataset v1 text format as a stream, one trajectory's lines at a time.
 
-    The file is read one block of trajectories at a time. A file that block
-    reading cannot vouch for (a bad line, a value np.loadtxt rejects or reads
-    as non-finite, a line count that is off, a line break that str.splitlines
-    sees but file iteration does not, an undecodable byte, a header larger
-    than the file) is read again whole by _load_whole, whose values and
-    errors define the format.
+    Parse errors and non-finite values name their line. Of several faults the
+    first of these is reported: an undecodable byte, a bad header, a line count
+    that is off, the first bad head or numeric line, the first non-finite value.
     """
     try:
-        return _load_blocks(path)
-    except (ValueError, OverflowError):  # UnicodeDecodeError is a ValueError
-        pass
-    return _load_whole(path)
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # np.loadtxt warns when every row is blank
+            return _read_dataset(itertools.chain.from_iterable(_text_blocks(fh)), os.fstat(fh.fileno()).st_size)
+    except UnicodeDecodeError:
+        with open(path) as fh:
+            fh.read()  # the error names an offset in the block decoded last; raise it with the offset in the file
+        raise
 
 
-def _splitlines_only(text: str) -> bool:
-    # one memchr scan per character, far faster than a regex class
-    return any(c in text for c in _SPLITLINES_ONLY)
-
-
-def _load_blocks(path) -> TrajectoryDataset:
-    # each block's rows go through one np.loadtxt call and are copied into the final
-    # arrays; raises ValueError wherever _load_whole must decide
-    with open(path) as fh:
-        line = fh.readline()
-        if _splitlines_only(line):
-            raise ValueError("a line break that only str.splitlines sees")
-        N, T, m, labeled = header_values(line, "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
-        if os.fstat(fh.fileno()).st_size < N * T * (m + 1):
-            raise ValueError("a file too small for its header")  # every value takes a byte at least
-        U, Y = np.empty((N, T, m)), np.empty((N, T))
-        labels = np.empty(N, dtype=int) if labeled else None
-        step = _block_trajectories(T, m)
-        for lo in range(0, N, step):
-            n = min(step, N - lo)
-            rows = _loadtxt(_numeric_lines(fh, range(lo, lo + n), T, labeled, labels))
-            if rows.shape != (n * T, m + 1):
-                raise ValueError("rows that np.loadtxt skips or splits otherwise")
-            U[lo:lo + n] = rows[:, :m].reshape(n, T, m)
-            Y[lo:lo + n] = rows[:, m].reshape(n, T)
-            del rows  # so that two blocks' rows never coexist
-        if fh.read(1):
-            raise ValueError("text after the last trajectory")
-    return TrajectoryDataset(U, Y, labels)  # raises ValueError on a non-finite value
-
-
-def _numeric_lines(fh, trajectories, T: int, labeled: int, labels):
-    # the T numeric lines of each trajectory in turn, read one trajectory at a time; its
-    # head line fills labels, and a short read, a bad head line or a line break that only
-    # str.splitlines sees raises ValueError
-    for i in trajectories:
-        lines = list(itertools.islice(fh, T + 1))
-        if len(lines) != T + 1 or _splitlines_only("".join(lines)):
-            raise ValueError("a short trajectory or a line break that only str.splitlines sees")
-        label = _head_label(lines[0], i, labeled)
-        if labeled:
-            labels[i] = label
-        yield from itertools.islice(lines, 1, None)
-
-
-def _load_whole(path) -> TrajectoryDataset:
-    # the exact reader: the whole file's lines at once. Numeric rows are converted in
-    # one np.loadtxt pass. loadtxt accepts a subset of what float() accepts (no '1_0',
-    # no non-ASCII digits) and skips blank rows, so when it fails or returns another
-    # shape the rows are parsed again one by one, which gives float()'s values or the
-    # first bad line
-    lines, (N, T, m, labeled) = read_text(path, "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
-    expected = 1 + N * (T + 1)
-    if len(lines) != expected:
-        raise ValueError(f"expected {expected} lines for N={N}, T={T}, got {len(lines)}")
-    body = lines[1:]
-    heads = body[::T + 1]
-    del body[::T + 1]
-    labels = np.empty(N, dtype=int) if labeled else None
-    for i, line in enumerate(heads):
-        try:
-            label = _head_label(line, i, labeled)
-        except ValueError as exc:
-            _parse_body(body[:i * T], m, T)  # a bad numeric row above trajectory i's line is reported first
-            raise ValueError(f"line {2 + i * (T + 1)}: {exc}") from None
-        if labeled:
-            labels[i] = label
+def _read_dataset(lines, size: int) -> TrajectoryDataset:
+    # load_dataset's parse of the file's lines; size is the file's size in bytes
+    count, expected, error, non_finite, labels = 1, None, None, None, []
     try:
-        rows = _loadtxt(body)
-    except ValueError:
-        rows = None
-    if rows is None or rows.shape != (N * T, m + 1):
-        rows = _parse_body(body, m, T)
-    rows = rows.reshape(N, T, m + 1)
-    U = np.ascontiguousarray(rows[:, :, :m])
-    Y = np.ascontiguousarray(rows[:, :, m])
-    bad = ~np.isfinite(rows).all(axis=2)
-    if bad.any():
-        i, t = divmod(int(np.argmax(bad)), T)
-        lineno = 3 + i * (T + 1) + t
-        raise ValueError(f"line {lineno}: non-finite value in {lines[lineno - 1]!r}")
-    return TrajectoryDataset(U, Y, labels)
+        header = next(lines, None)
+        if header is None:
+            raise ValueError("line 1: empty file")
+        N, T, m, labeled = header_values(header, "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
+        expected = 1 + N * (T + 1)
+        # every value takes a byte at least: a header larger than its file allocates nothing
+        fits = size >= N * T * (m + 1)
+        U, Y = (np.empty((N, T, m)), np.empty((N, T))) if fits else (None, None)
+        for i in range(N):
+            lineno = 2 + i * (T + 1)  # trajectory i's head line
+            text = list(itertools.islice(lines, T + 1))
+            count += len(text)
+            if len(text) != T + 1:
+                break
+            try:
+                labels.append(_head_label(text[0], i, labeled))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            del text[0]
+            # np.loadtxt accepts a subset of what float() accepts (no '1_0', no non-ASCII digits)
+            # and skips blank rows; parse_rows gives float()'s values or the first bad line
+            try:
+                rows = np.loadtxt(text, comments=None, ndmin=2)
+            except ValueError:
+                rows = None
+            if rows is None or rows.shape != (T, m + 1):
+                rows = parse_rows(text, m + 1, lineno + 1)
+            if non_finite is None and not np.isfinite(rows).all():
+                t = int(np.argmin(np.isfinite(rows).all(axis=1)))
+                non_finite = f"line {lineno + 1 + t}: non-finite value in {text[t]!r}"
+            if fits:
+                U[i], Y[i] = rows[:, :m], rows[:, m]
+    except UnicodeDecodeError:
+        raise
+    except ValueError as exc:  # raised after the rest of the file is read, unless its line count is off
+        error = exc
+    count += sum(1 for _ in lines)
+    if expected not in (None, count):
+        raise ValueError(f"expected {expected} lines for N={N}, T={T}, got {count}")
+    if error is not None:
+        raise error
+    if non_finite is not None:
+        raise ValueError(non_finite)
+    return TrajectoryDataset(U, Y, labels if labeled else None)
 
 
 def save_mixture(path, model: MixtureModel) -> None:

@@ -223,4 +223,8 @@ def load_estimate(path):
     for pos in range(1, needed, 1 + L):  # 0-based index of each component's weight line
         weights.append(parse_weight(lines[pos], pos + 1))
         coeffs.append(parse_rows(lines[pos + 1 : pos + 1 + L], m, pos + 2).ravel())
+        try:
+            MixtureEstimate(weights[-1:], coeffs[-1:])  # checks this component alone
+        except ValueError as exc:
+            raise ValueError(f"line {pos + 1}: {exc}") from None
     return MixtureEstimate(weights, coeffs), L, m

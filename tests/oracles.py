@@ -1,12 +1,15 @@
-"""Reference implementations used only by the tests: tensor operations, the per-item loops, the fits from given moments or one array, and an estimate file writer."""
+"""Reference implementations used only by the tests: tensor operations, the per-item loops, the fits from given moments or one array, a whole-file dataset reader, and an estimate file writer."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from ldsmix import mlr
+from ldsmix.lds import _DATASET_KEYS, TrajectoryDataset, _head_label
 from ldsmix.pipeline import build_stacked, estimate_text
 from ldsmix.tensor3 import symmetrize
+from ldsmix.util import parse_rows, read_text
 
 
 def outer3(v) -> np.ndarray:
@@ -209,3 +212,53 @@ def save_estimate(path, est, L, m):
     """Write est as an mlds-estimate v1 file, the text that fit writes before any realization."""
     with open(path, "w") as fh:
         fh.write(estimate_text(est, L, m))
+
+
+def _parse_body(rows, m: int, T: int) -> np.ndarray:
+    # trajectory i's T numeric rows are rows[i*T:(i+1)*T], from file line 3 + i * (T + 1)
+    return np.array([parse_rows(rows[j:j + T], m + 1, 3 + j // T * (T + 1)) for j in range(0, len(rows), T)])
+
+
+def _loadtxt(rows) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns when every row is blank
+        return np.loadtxt(rows, comments=None, ndmin=2)
+
+
+def _load_whole(path) -> TrajectoryDataset:
+    # the exact reader: the whole file's lines at once. Numeric rows are converted in
+    # one np.loadtxt pass. loadtxt accepts a subset of what float() accepts (no '1_0',
+    # no non-ASCII digits) and skips blank rows, so when it fails or returns another
+    # shape the rows are parsed again one by one, which gives float()'s values or the
+    # first bad line
+    lines, (N, T, m, labeled) = read_text(path, "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
+    expected = 1 + N * (T + 1)
+    if len(lines) != expected:
+        raise ValueError(f"expected {expected} lines for N={N}, T={T}, got {len(lines)}")
+    body = lines[1:]
+    heads = body[::T + 1]
+    del body[::T + 1]
+    labels = np.empty(N, dtype=int) if labeled else None
+    for i, line in enumerate(heads):
+        try:
+            label = _head_label(line, i, labeled)
+        except ValueError as exc:
+            _parse_body(body[:i * T], m, T)  # a bad numeric row above trajectory i's line is reported first
+            raise ValueError(f"line {2 + i * (T + 1)}: {exc}") from None
+        if labeled:
+            labels[i] = label
+    try:
+        rows = _loadtxt(body)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (N * T, m + 1):
+        rows = _parse_body(body, m, T)
+    rows = rows.reshape(N, T, m + 1)
+    U = np.ascontiguousarray(rows[:, :, :m])
+    Y = np.ascontiguousarray(rows[:, :, m])
+    bad = ~np.isfinite(rows).all(axis=2)
+    if bad.any():
+        i, t = divmod(int(np.argmax(bad)), T)
+        lineno = 3 + i * (T + 1) + t
+        raise ValueError(f"line {lineno}: non-finite value in {lines[lineno - 1]!r}")
+    return TrajectoryDataset(U, Y, labels)

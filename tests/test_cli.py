@@ -28,11 +28,11 @@ def run(*argv):
 
 
 def run_process(*argv):
-    """The CLI in a fresh interpreter, where a numpy warning reaches stderr; returns (code, stderr)."""
+    """The CLI in a fresh interpreter, where a numpy warning reaches stderr; returns (code, stderr, stdout)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "ldsmix.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stderr, proc.stdout
 
 
 def test_no_command_prints_help(capsys):
@@ -211,6 +211,38 @@ def test_fit_ho_kalman_estimate_golden(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_fit_ho_kalman_warnings_name_the_realization(tmp_path, capsys):
+    # order 1 is too low for these components: each realization warns, and the warnings
+    # print as warning lines, not raw to stderr; in process, where the test settings turn
+    # warnings into errors, the run prints the same
+    data_path, _ = fit_workspace(tmp_path, N=300, T=48)
+    out = str(tmp_path / "est.txt")
+    code, err, stdout = run_process("fit", "--data", data_path, "--out", out, "--ho-kalman", "1")
+    assert (code, err) == (0, "")
+    capsys.readouterr()
+    assert run("fit", "--data", data_path, "--out", str(tmp_path / "again.txt"), "--ho-kalman", "1") == 0
+    assert capsys.readouterr() == (stdout.replace(out, str(tmp_path / "again.txt")), "")
+    assert Path(out).read_bytes() == (tmp_path / "again.txt").read_bytes()
+    est, L, m = load_estimate(out)
+    expected = []
+    for k in range(est.K):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pipeline.ho_kalman(est.coeffs[k].reshape(L, m), 1)
+        expected += [f"warning: realization {k}: {w.message}" for w in caught]
+    assert expected
+    assert [line for line in stdout.splitlines() if line.startswith("warning: realization")] == expected
+
+
+def test_fit_oversized_label_names_the_line(tmp_path, capsys):
+    data_path, _ = fit_workspace(tmp_path, N=10, T=14)
+    lines = Path(data_path).read_text().splitlines()
+    lines[1] = "traj 0 label 99999999999999999999"
+    Path(data_path).write_text("\n".join(lines) + "\n")
+    assert run("fit", "--data", data_path, "--out", str(tmp_path / "e.txt"), "--L", "4", "--K", "2") == 2
+    assert capsys.readouterr().err == "error: line 2: label 99999999999999999999 does not fit a 64-bit integer\n"
+
+
 def test_fit_ho_kalman_horizon_check(tmp_path):
     data_path, _ = fit_workspace(tmp_path, N=10, T=14)
     assert run("fit", "--data", data_path, "--out", str(tmp_path / "e.txt"),
@@ -364,6 +396,22 @@ def test_eval_non_finite_weight_exit_code(tmp_path, capsys):
     assert "mixture weights must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,text,message", [
+    (1, "weight -0.5", "line 2: estimated weights must be strictly positive"),
+    (8, "nan", "line 7: estimated weights and coefficients must be finite"),
+])
+def test_eval_bad_estimate_component_names_its_weight_line(tmp_path, capsys, line, text, message):
+    # K=2, L=4: lines 2-6 hold the first component's weight and coefficients, lines 7-11 the second's
+    model, mix_path = eval_workspace(tmp_path)
+    est_path = tmp_path / "est.txt"
+    save_estimate(est_path, MixtureEstimate(model.weights, model.markov_matrix(4)), 4, 1)
+    lines = est_path.read_text().splitlines()
+    lines[line] = text
+    est_path.write_text("\n".join(lines) + "\n")
+    assert run("eval", "--estimate", str(est_path), "--mixture", mix_path) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("line,text,name", [(4, "nan", "C"), (7, "inf", "B")])
 def test_eval_non_finite_system_exit_code(tmp_path, capsys, line, text, name):
     # lines 2-4 hold A, B, C of the first component, lines 6-8 of the second
@@ -391,12 +439,12 @@ def test_eval_overflowing_estimate_exit_code(tmp_path, capsys):
 def test_overflow_error_paths_print_only_the_error(tmp_path):
     # an overflow that ends in a documented error prints that error and no numpy warning
     data_path, _ = fit_workspace(tmp_path, N=4)
-    code, err = run_process("fit", "--data", data_path, "--out", str(tmp_path / "e.txt"), "--sigma-u", "1e-320")
+    code, err, _ = run_process("fit", "--data", data_path, "--out", str(tmp_path / "e.txt"), "--sigma-u", "1e-320")
     assert (code, err) == (2, "error: X and y must be finite\n")
     model, mix_path = eval_workspace(tmp_path)
     est_path = str(tmp_path / "est.txt")
     save_estimate(est_path, MixtureEstimate(model.weights, np.full((2, 4), 1e308)), 4, 1)
-    code, err = run_process("eval", "--estimate", est_path, "--mixture", mix_path)
+    code, err, _ = run_process("eval", "--estimate", est_path, "--mixture", mix_path)
     assert (code, err) == (2, "error: no assignment of estimated to true components has a finite cost\n")
 
 

@@ -14,7 +14,7 @@ from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace,
                         random_mixture, random_stable_system, rollout,
                         save_dataset, save_mixture, simulate)
 from ldsmix.util import derive_seed
-from oracles import dataset_text_loop, generate_dataset_loop, simulate_loop
+from oracles import _load_whole, dataset_text_loop, generate_dataset_loop, simulate_loop
 
 
 def scalar_system(a, b=1.0, c=1.0):
@@ -522,7 +522,16 @@ def load_corpus():
     files.append(text.replace("1 2\n3 4\n5 6", "1 2 0\n3 4 0\n5 6 0"))
     files += [text.replace("\n", "\r\n"), text.replace("\n", "\r"), text[:-1], text + "\n", text + "13 14\n",
               "\n".join(LOAD_BASE[:-1]) + "\n", text.replace("N=2", "N=1000000000000"), text]
-    return [f.encode() for f in files] + [text.encode().replace(b"3 4", b"3 \xff4")]
+    files.append(text.replace("label 1", "label 99999999999999999999"))  # past int64
+    files = [f.encode() for f in files] + [text.encode().replace(b"3 4", b"3 \xff4")]
+    # past the 8 KiB that a text file decodes at a time: an undecodable byte in the last row,
+    # alone, after a bad row in trajectory 0 and after a bad header
+    N = 400
+    long = "".join([f"mlds-dataset v1, N={N}, T=3, m=1, labeled=1\n"]
+                   + [f"traj {i} label 0\n1 2\n3 4\n5 6\n" for i in range(N)]).encode()
+    assert len(long) > 8192
+    late = long[:-3] + b"\xff6\n"
+    return files + [late, late.replace(b"3 4", b"3 x", 1), late.replace(b"v1", b"v2", 1)]
 
 
 def load_outcome(load, path):
@@ -542,7 +551,50 @@ def test_load_dataset_blocks_agree_with_the_whole_file_reader(tmp_path, monkeypa
     path = tmp_path / "d.txt"
     for raw in load_corpus():
         path.write_bytes(raw)
-        assert load_outcome(load_dataset, path) == load_outcome(lds._load_whole, path), raw
+        assert load_outcome(load_dataset, path) == load_outcome(_load_whole, path), raw
+
+
+def corrupted_files(count, seed):
+    """count small dataset files as bytes, each with one or two random byte-level faults."""
+    rng = np.random.default_rng(seed)
+    pieces = [b"\n", b"\r", b"\r\n", b" ", b"\t", b"x", b"-", b"#", b"nan", b"inf", b"1e999", b"1_0", b"0x3",
+              "\uff11".encode(), b"\x0c", "\x85".encode(), "\u2028".encode(), b"\x1c", b"\xff",
+              b"traj 1 label 0\n", b"99999999999999999999", b"3 4\n"]
+    files = []
+    for _ in range(count):
+        N, T, m = rng.integers(1, 4, size=3)
+        labels = rng.integers(0, 3, size=N) if rng.random() < 0.5 else None
+        outputs = rng.choice([0.5, -2.0, np.nan, np.inf], p=[0.45, 0.45, 0.05, 0.05], size=(N, T))
+        raw = dataset_text_loop(rng.integers(-9, 10, size=(N, T, m)) / 4, outputs, labels).encode()
+        for _ in range(rng.integers(1, 3)):
+            start = max(raw.find(b"\n"), 0) if rng.random() < 0.9 else 0  # mostly past the header
+            at = int(rng.integers(start, len(raw) + 1))
+            kind = rng.choice(4, p=[0.45, 0.3, 0.2, 0.05])
+            if kind == 0:  # insert
+                raw = raw[:at] + pieces[rng.integers(len(pieces))] + raw[at:]
+            elif kind == 1:  # replace a byte
+                raw = raw[:at] + pieces[rng.integers(len(pieces))] + raw[at + 1:]
+            elif kind == 2:  # delete a few bytes
+                raw = raw[:at] + raw[at + int(rng.integers(1, 6)):]
+            else:  # truncate
+                raw = raw[:at]
+        files.append(raw)
+    return files
+
+
+def test_load_dataset_agrees_with_the_whole_file_reader_on_corrupted_files(tmp_path, monkeypatch):
+    path = tmp_path / "d.txt"
+    outcomes = []
+    for raw in corrupted_files(300, seed=17):
+        path.write_bytes(raw)
+        expected = load_outcome(_load_whole, path)
+        outcomes.append(expected[0] if isinstance(expected[0], type) else "loaded")
+        for chars in (1, 7, lds._TEXT_BLOCK):
+            monkeypatch.setattr(lds, "_TEXT_BLOCK", chars)
+            assert load_outcome(load_dataset, path) == expected, (chars, raw)
+        monkeypatch.undo()
+    # the faults reach every kind of outcome: loaded files, parse errors and undecodable bytes
+    assert {"loaded", ValueError, UnicodeDecodeError} <= set(outcomes)
 
 
 def test_load_dataset_reads_a_clean_file_by_blocks(tmp_path, monkeypatch):
@@ -550,15 +602,23 @@ def test_load_dataset_reads_a_clean_file_by_blocks(tmp_path, monkeypatch):
     path = tmp_path / "d.txt"
     save_dataset(path, data)
     monkeypatch.setattr(lds, "_TEXT_BLOCK", 2 * 4 * 2)
-
-    def whole(path):
-        raise AssertionError("a clean file went to the whole-file reader")
-
-    monkeypatch.setattr(lds, "_load_whole", whole)
     back = load_dataset(path)
     assert back.inputs.tobytes() == data.inputs.tobytes()
     assert back.outputs.tobytes() == data.outputs.tobytes()
     assert np.array_equal(back.labels, data.labels)
+
+
+def test_load_dataset_allocates_nothing_for_a_header_larger_than_its_file(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("\n".join(LOAD_BASE).replace("N=2", "N=1000000000000") + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^expected 4000000000001 lines for N=1000000000000, T=3, got 9$"):
+            load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_dataset_codec_memory_does_not_grow_with_n(tmp_path):
