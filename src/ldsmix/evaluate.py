@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import pickle
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -16,7 +15,7 @@ from .errors import DecompositionError, DegenerateMixtureError, InsufficientLeng
 from .lds import MixtureModel, NoiseConfig, TrajectoryDataset, generate_dataset, random_mixture
 from .mlr import MixtureEstimate
 from .pipeline import mlds_fit, ols_markov, trajectory_blocks
-from .util import atomic_write_text, derive_seed
+from .util import atomic_write_text, derive_seed, fan_out
 
 CSV_HEADER = "N,T,K,L,seed,method,error,weight_error,wall_ms,status"
 # lag rows per batched ols_markov call in baseline_error; small, because one
@@ -185,60 +184,6 @@ def _seed_records(cfg: SweepConfig, seed: int, timer):
     return records
 
 
-def _fork_seeds(cfg: SweepConfig, seeds, timer):
-    """Fork a child that runs seeds; return (its pid, the read end of its pipe).
-
-    The child pickles ("ok", records) or ("error", exception) into the pipe and
-    leaves by os._exit, exit status 0 only once the outcome is written. It never
-    returns into the caller, whose teardown (pytest's, a tracer's) must run once.
-    """
-    parent = os.getpid()
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, r
-    code = 1
-    try:
-        os.close(r)
-        try:
-            records = []
-            for seed in seeds:
-                if os.getppid() != parent:  # orphaned: nobody will read the records
-                    os._exit(1)
-                records += _seed_records(cfg, seed, timer)
-            outcome = ("ok", records)
-        except Exception as exc:
-            outcome = ("error", exc)
-        with open(w, "wb") as fh:
-            pickle.dump(outcome, fh)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _collect(pid: int, fd: int, seeds):
-    """The records a forked child sent, or its exception re-raised; reaps the child."""
-    try:
-        with open(fd, "rb") as fh:
-            payload = fh.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise RuntimeError(f"sweep worker for seeds {list(seeds)} exited with status {code} "
-                           "without sending its records")
-    kind, value = pickle.loads(payload)
-    if kind == "error":
-        raise value
-    return value
-
-
 def run_sweep(cfg: SweepConfig, timer=time.perf_counter):
     """Run every (seed, N, T, method) cell; failures become records, not exceptions.
 
@@ -247,37 +192,22 @@ def run_sweep(cfg: SweepConfig, timer=time.perf_counter):
     (N, T), keeping cells independent and order free. A custom timer can be
     injected to make the wall_ms column deterministic.
 
-    The seeds are split into W contiguous runs, W being the number of CPUs in
-    the process's affinity mask but at most the number of seeds (1 where
-    os.fork or os.sched_getaffinity is missing). Each run but the last goes to
-    a forked child; the calling process runs the last one, and any run whose
-    fork failed. Records come back in seed order, as from one process. An
-    exception in a child is re-raised here with its type and message, and no
-    child outlives the call.
+    The seeds are split by util.fan_out into contiguous runs, one per CPU of
+    the process's affinity mask but at most one per seed, each run but the
+    last in a forked worker. Records come back in seed order, as from one
+    process, and a worker's exception is re-raised here.
     """
-    seeds = tuple(cfg.seeds)
-    W = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        W = min(len(os.sched_getaffinity(0)), len(seeds))
-    runs = [seeds[i * len(seeds) // W:(i + 1) * len(seeds) // W] for i in range(W)]
-    pending = {}  # run index -> (pid, read end) of a forked child not yet reaped
-    try:
-        for i, run in enumerate(runs[:-1]):
-            try:
-                pending[i] = _fork_seeds(cfg, run, timer)
-            except OSError:  # no process to spare: the caller runs these seeds too
-                pass
-        parts = [None if i in pending else
-                 [rec for seed in run for rec in _seed_records(cfg, seed, timer)]
-                 for i, run in enumerate(runs)]
-        for i in list(pending):
-            parts[i] = _collect(*pending.pop(i), runs[i])
-    finally:
-        for pid, fd in pending.values():  # left by an error: stop and reap them
-            os.kill(pid, 9)  # SIGKILL; importing signal would add ~50 KB to every ldsmix process
-            os.close(fd)
-            os.waitpid(pid, 0)
-    return [rec for part in parts for rec in part]
+    parent = os.getpid()
+
+    def run_seeds(seeds):
+        records = []
+        for seed in seeds:
+            if os.getppid() != parent != os.getpid():  # an orphaned worker: nobody will read the records
+                os._exit(1)
+            records += _seed_records(cfg, seed, timer)
+        return records
+
+    return [rec for run in fan_out(run_seeds, tuple(cfg.seeds)) for rec in run]
 
 
 def _f9(x) -> str:

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import itertools
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMixtureError
-from .util import (atomic_write_text, child_generators, fmt, format_rows, header_values, parse_rows, parse_weight,
-                   read_text)
+from .util import (atomic_write_text, child_generators, fan_out, fmt, format_rows, header_values, parse_rows,
+                   parse_weight, read_text)
 
 # trajectories whose draws generate_dataset holds in its scratch block at a time
 _DRAW_BLOCK = 64
+# trajectories that generate_dataset simulates at a time: its peak is its arrays plus one such block
+_SIM_BLOCK = 1024
 # values of trajectories that save_dataset formats and writes at a time (about 1.5 MB of text),
 # and characters that load_dataset reads at a time
 _TEXT_BLOCK = 1 << 16
@@ -230,8 +233,8 @@ def generate_dataset(model: MixtureModel, N: int, T: int, noise: NoiseConfig = N
 
     Trajectory i draws from the stream of SeedSequence((seed, 2, i + 1)), as
     rollout would with that seed, so the result is independent of generation
-    order. Each component then simulates all of its trajectories in one batch,
-    with the same outputs as rollout.
+    order. Each block of _SIM_BLOCK trajectories is simulated once drawn, in
+    one batch per component, with the same outputs as rollout.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -240,32 +243,36 @@ def generate_dataset(model: MixtureModel, N: int, T: int, noise: NoiseConfig = N
     labels = np.random.default_rng(np.random.SeedSequence((seed, 1))).choice(model.K, size=N, p=model.weights)
     m = model.input_dim
     U = np.empty((N, T, m))
-    drive = np.empty((N, T, m))
     Y = np.empty((N, T))
     # standard_normal keeps no state between calls, so one call per trajectory
     # filling a row of inputs, process noise and measurement noise draws what
-    # three calls in that order would; rows are filled in a reused block
+    # three calls in that order would; rows are filled in a reused block of
+    # _DRAW_BLOCK rows, and each _SIM_BLOCK trajectories are simulated once drawn
     width = T * m
     scratch = np.empty((min(N, _DRAW_BLOCK), 2 * width + T))
+    drive = np.empty((min(N, _SIM_BLOCK), T, m))
     streams = child_generators((seed, 2), N)
-    for lo in range(0, N, scratch.shape[0]):
-        block = scratch[: N - lo]
-        for row, rng in zip(block, streams):
-            rng.standard_normal(out=row)
-        hi = lo + block.shape[0]
-        U[lo:hi] = block[:, :width].reshape(-1, T, m)
-        drive[lo:hi] = block[:, width : 2 * width].reshape(-1, T, m)
-        Y[lo:hi] = block[:, 2 * width :]
-    # normal(0.0, sigma) is 0.0 + sigma * z; adding 0.0 turns the -0.0 of a zero sigma into +0.0
-    for arr, sigma in ((U, noise.sigma_u), (drive, noise.sigma_w1), (Y, noise.sigma_w2)):
-        arr *= sigma
-        arr += 0.0
-    # drive = process noise + inputs and Y = measurement noise + noise-free outputs, formed
-    # in place: float addition commutes bitwise, so this equals simulate(ss, u, w1, w2)
-    drive += U
-    for k, ss in enumerate(model.systems):
-        rows = np.flatnonzero(labels == k)
-        Y[rows] += simulate(ss, drive[rows])
+    for lo in range(0, N, _SIM_BLOCK):
+        hi = min(N, lo + _SIM_BLOCK)
+        for a in range(lo, hi, _DRAW_BLOCK):
+            block = scratch[: min(hi - a, _DRAW_BLOCK)]
+            for row, rng in zip(block, streams):
+                rng.standard_normal(out=row)
+            b = a + block.shape[0]
+            U[a:b] = block[:, :width].reshape(-1, T, m)
+            drive[a - lo:b - lo] = block[:, width:2 * width].reshape(-1, T, m)
+            Y[a:b] = block[:, 2 * width:]
+        w1 = drive[:hi - lo]
+        # normal(0.0, sigma) is 0.0 + sigma * z; adding 0.0 turns the -0.0 of a zero sigma into +0.0
+        for arr, sigma in ((U[lo:hi], noise.sigma_u), (w1, noise.sigma_w1), (Y[lo:hi], noise.sigma_w2)):
+            arr *= sigma
+            arr += 0.0
+        # drive = process noise + inputs and Y = measurement noise + noise-free outputs, formed
+        # in place: float addition commutes bitwise, so this equals simulate(ss, u, w1, w2)
+        w1 += U[lo:hi]
+        for k, ss in enumerate(model.systems):
+            rows = np.flatnonzero(labels[lo:hi] == k)
+            Y[lo + rows] += simulate(ss, w1[rows])
     return TrajectoryDataset(U, Y, labels)
 
 
@@ -315,17 +322,40 @@ def _block_trajectories(T: int, m: int) -> int:
 
 
 def save_dataset(path, ds: TrajectoryDataset) -> None:
-    """Write the mlds-dataset v1 text format (17 significant digits, atomic), one block of trajectories at a time."""
+    """Write the mlds-dataset v1 text format (17 significant digits, atomic), one block of trajectories at a time.
+
+    util.fan_out splits the blocks into contiguous runs; each run's worker
+    writes the text of its blocks to its own part file in a scratch directory
+    beside the target, and the header and the parts are then joined, in file
+    order, through atomic_write_text.
+    """
     labs = ds.labels.tolist() if ds.labels is not None else ["-"] * ds.N
     step = _block_trajectories(ds.T, ds.m)
 
-    def chunks():
-        yield f"mlds-dataset v1, N={ds.N}, T={ds.T}, m={ds.m}, labeled={int(ds.labels is not None)}\n"
-        for lo in range(0, ds.N, step):
-            rows = np.concatenate([ds.inputs[lo:lo + step], ds.outputs[lo:lo + step, :, None]], axis=2)
-            yield "".join([f"traj {i} label {labs[i]}\n{format_rows(r)}\n" for i, r in enumerate(rows, lo)])
+    def block_text(lo):
+        # the text of the block's trajectories, one at a time; the block's rows go once the last is taken
+        rows = np.concatenate([ds.inputs[lo:lo + step], ds.outputs[lo:lo + step, :, None]], axis=2)
+        for i, r in enumerate(rows, lo):
+            yield f"traj {i} label {labs[i]}\n{format_rows(r)}\n"
 
-    atomic_write_text(path, chunks())
+    def write_part(starts):
+        part = os.path.join(scratch, str(starts.start))
+        with open(part, "w") as fh:
+            for lo in starts:
+                fh.writelines(block_text(lo))
+        return part
+
+    with tempfile.TemporaryDirectory(prefix=".tmp-", dir=os.path.dirname(os.path.realpath(path))) as scratch:
+        parts = fan_out(write_part, range(0, ds.N, step))
+        head = f"mlds-dataset v1, N={ds.N}, T={ds.T}, m={ds.m}, labeled={int(ds.labels is not None)}\n"
+        atomic_write_text(path, itertools.chain([head], *map(_file_text, parts)))
+
+
+def _file_text(path):
+    # the text of the file at path, _TEXT_BLOCK characters at a time
+    with open(path) as fh:
+        while chunk := fh.read(_TEXT_BLOCK):
+            yield chunk
 
 
 def _head_label(line: str, i: int, labeled: int):
@@ -362,65 +392,104 @@ def load_dataset(path) -> TrajectoryDataset:
     Parse errors and non-finite values name their line. Of several faults the
     first of these is reported: an undecodable byte, a bad header, a line count
     that is off, the first bad head or numeric line, the first non-finite value.
+
+    util.fan_out splits the blocks of trajectories into contiguous runs. Each
+    run's worker streams the whole file, whose line count every run checks,
+    and parses the rows of its own trajectories only; a forked worker writes
+    them to a part file, which is read back into the arrays here. A header that
+    does not parse, or that claims more values than the file has bytes, makes
+    one run, which finds the file's first fault.
     """
     try:
-        with open(path) as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # np.loadtxt warns when every row is blank
-            return _read_dataset(itertools.chain.from_iterable(_text_blocks(fh)), os.fstat(fh.fileno()).st_size)
+        with open(path) as fh:
+            header = next(itertools.chain.from_iterable(_text_blocks(fh)), "")
+            size = os.fstat(fh.fileno()).st_size
+        N, T, m, labeled = header_values(header, "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
+        # every value takes a byte at least: a header larger than its file allocates nothing
+        fits = size >= N * T * (m + 1)
+    except ValueError:  # an undecodable byte included
+        N = T = m = labeled = 0
+        fits = False
+    U, Y = (np.empty((N, T, m)), np.empty((N, T))) if fits else (None, None)
+    parent = os.getpid()
+
+    def read_run(starts):
+        lo, hi = starts.start, min(starts.stop, N)
+        outcome = _read_dataset(path, lo, hi, U, Y)
+        if os.getpid() == parent:
+            return outcome, None
+        part = os.path.join(scratch, str(lo))
+        with open(part, "wb") as fh:
+            fh.write(U[lo:hi])
+            fh.write(Y[lo:hi])
+        return outcome, (lo, hi, part)
+
+    try:
+        with tempfile.TemporaryDirectory(prefix="ldsmix-") as scratch:
+            runs = fan_out(read_run, range(0, N, _block_trajectories(T, m) if fits else max(N, 1)))
+            for k in range(3):  # the line count, then the first bad line, then the first non-finite value
+                for outcome, _ in runs:
+                    if outcome[k] is not None:
+                        raise outcome[k]
+            for _, forked in runs:
+                if forked:
+                    lo, hi, part = forked
+                    with open(part, "rb") as fh:
+                        fh.readinto(U[lo:hi])
+                        fh.readinto(Y[lo:hi])
     except UnicodeDecodeError:
         with open(path) as fh:
             fh.read()  # the error names an offset in the block decoded last; raise it with the offset in the file
         raise
+    return TrajectoryDataset(U, Y, [label for outcome, _ in runs for label in outcome[3]] if labeled else None)
 
 
-def _read_dataset(lines, size: int) -> TrajectoryDataset:
-    # load_dataset's parse of the file's lines; size is the file's size in bytes
+def _read_dataset(path, lo: int, hi: int, U, Y):
+    # load_dataset's parse of the file at path, which stores the rows of trajectories lo..hi-1 in U and Y
+    # (when U is not None); returns (line-count error, first bad line error, first non-finite error, labels)
     count, expected, error, non_finite, labels = 1, None, None, None, []
-    try:
-        header = next(lines, None)
-        if header is None:
-            raise ValueError("line 1: empty file")
-        N, T, m, labeled = header_values(header, "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
-        expected = 1 + N * (T + 1)
-        # every value takes a byte at least: a header larger than its file allocates nothing
-        fits = size >= N * T * (m + 1)
-        U, Y = (np.empty((N, T, m)), np.empty((N, T))) if fits else (None, None)
-        for i in range(N):
-            lineno = 2 + i * (T + 1)  # trajectory i's head line
-            text = list(itertools.islice(lines, T + 1))
-            count += len(text)
-            if len(text) != T + 1:
-                break
-            try:
-                labels.append(_head_label(text[0], i, labeled))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            del text[0]
-            # np.loadtxt accepts a subset of what float() accepts (no '1_0', no non-ASCII digits)
-            # and skips blank rows; parse_rows gives float()'s values or the first bad line
-            try:
-                rows = np.loadtxt(text, comments=None, ndmin=2)
-            except ValueError:
-                rows = None
-            if rows is None or rows.shape != (T, m + 1):
-                rows = parse_rows(text, m + 1, lineno + 1)
-            if non_finite is None and not np.isfinite(rows).all():
-                t = int(np.argmin(np.isfinite(rows).all(axis=1)))
-                non_finite = f"line {lineno + 1 + t}: non-finite value in {text[t]!r}"
-            if fits:
-                U[i], Y[i] = rows[:, :m], rows[:, m]
-    except UnicodeDecodeError:
-        raise
-    except ValueError as exc:  # raised after the rest of the file is read, unless its line count is off
-        error = exc
-    count += sum(1 for _ in lines)
-    if expected not in (None, count):
-        raise ValueError(f"expected {expected} lines for N={N}, T={T}, got {count}")
-    if error is not None:
-        raise error
-    if non_finite is not None:
-        raise ValueError(non_finite)
-    return TrajectoryDataset(U, Y, labels if labeled else None)
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # np.loadtxt warns when every row is blank
+        lines = itertools.chain.from_iterable(_text_blocks(fh))
+        try:
+            header = next(lines, None)
+            if header is None:
+                raise ValueError("line 1: empty file")
+            N, T, m, labeled = header_values(header, "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
+            expected = 1 + N * (T + 1)
+            count += sum(1 for _ in itertools.islice(lines, lo * (T + 1)))
+            for i in range(lo, hi):
+                lineno = 2 + i * (T + 1)  # trajectory i's head line
+                text = list(itertools.islice(lines, T + 1))
+                count += len(text)
+                if len(text) != T + 1:
+                    break
+                try:
+                    labels.append(_head_label(text[0], i, labeled))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                del text[0]
+                # np.loadtxt accepts a subset of what float() accepts (no '1_0', no non-ASCII digits)
+                # and skips blank rows; parse_rows gives float()'s values or the first bad line
+                try:
+                    rows = np.loadtxt(text, comments=None, ndmin=2)
+                except ValueError:
+                    rows = None
+                if rows is None or rows.shape != (T, m + 1):
+                    rows = parse_rows(text, m + 1, lineno + 1)
+                if non_finite is None and not np.isfinite(rows).all():
+                    t = int(np.argmin(np.isfinite(rows).all(axis=1)))
+                    non_finite = ValueError(f"line {lineno + 1 + t}: non-finite value in {text[t]!r}")
+                if U is not None:
+                    U[i], Y[i] = rows[:, :m], rows[:, m]
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:  # reported after the rest of the file is read, unless its line count is off
+            error = exc
+        count += sum(1 for _ in lines)
+    if expected in (None, count):
+        return None, error, non_finite, labels
+    return ValueError(f"expected {expected} lines for N={N}, T={T}, got {count}"), error, non_finite, labels
 
 
 def save_mixture(path, model: MixtureModel) -> None:

@@ -1,4 +1,5 @@
-"""Small shared helpers: float formatting, atomic writes, seed derivation and child streams, text parsing.
+"""Small shared helpers: float formatting, atomic writes, seed derivation and child streams, text parsing,
+and fan_out, which runs a function over contiguous runs of items in forked workers.
 
 The mlds-* text files share one row codec: format_rows writes an array one row
 per line, parse_rows reads such lines back, read_text opens a file and checks its header.
@@ -7,6 +8,7 @@ per line, parse_rows reads such lines back, read_text opens a file and checks it
 from __future__ import annotations
 
 import os
+import pickle
 import stat
 import tempfile
 
@@ -57,6 +59,89 @@ def atomic_write_text(path, text) -> None:
         except OSError:
             pass
         raise
+
+
+def fan_out(fn, items) -> list:
+    """[fn(run) for run in runs], where runs are W contiguous slices of items, in order.
+
+    W is the number of CPUs in the process's affinity mask, at most len(items)
+    (1 where os.fork or os.sched_getaffinity is missing). Each run but the last
+    goes to a forked child; the calling process runs the last one, and any run
+    whose fork failed. A run's result must pickle. The exception of the first
+    run in run order that raised one is re-raised here with its type and
+    message, and no child outlives the call.
+    """
+    W = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        W = max(1, min(len(os.sched_getaffinity(0)), len(items)))
+    runs = [items[i * len(items) // W:(i + 1) * len(items) // W] for i in range(W)]
+    pending = {}  # run index -> (pid, read end) of a forked child not yet reaped
+    try:
+        for i, run in enumerate(runs[:-1]):
+            try:
+                pending[i] = _fork(fn, run)
+            except OSError:  # no process to spare: the caller runs this run too
+                pass
+        outcomes = [None if i in pending else _outcome(fn, run) for i, run in enumerate(runs)]
+        for i, run in enumerate(runs):
+            if i in pending:
+                outcomes[i] = _collect(*pending.pop(i), run)
+            if outcomes[i][0] == "error":
+                raise outcomes[i][1]
+    finally:
+        for pid, fd in pending.values():  # left by an error: stop and reap them
+            os.kill(pid, 9)  # SIGKILL; importing signal would add ~50 KB to every ldsmix process
+            os.close(fd)
+            os.waitpid(pid, 0)
+    return [value for _, value in outcomes]
+
+
+def _outcome(fn, run):
+    try:
+        return "ok", fn(run)
+    except Exception as exc:
+        return "error", exc
+
+
+def _fork(fn, run):
+    """Fork a child that runs fn(run); return (its pid, the read end of its pipe).
+
+    The child pickles ("ok", result) or ("error", exception) into the pipe and
+    leaves by os._exit, exit status 0 only once the outcome is written. It never
+    returns into the caller, whose teardown (pytest's, a tracer's) must run once.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        outcome = _outcome(fn, run)
+        with open(w, "wb") as fh:
+            pickle.dump(outcome, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pid: int, fd: int, run):
+    """The outcome a forked child sent; reaps the child."""
+    try:
+        with open(fd, "rb") as fh:
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"worker for {run!r} exited with status {code} without sending its result")
+    return pickle.loads(payload)
 
 
 def derive_seed(*parts: int) -> int:
@@ -207,17 +292,19 @@ def parse_rows(lines, count: int, lineno: int) -> np.ndarray:
     """Parse lines of exactly count whitespace-separated floats into a (len(lines), count) array.
 
     lines[0] is 1-based file line lineno; errors name the line of the first bad row.
+    The array is allocated once every row has parsed, so a huge count in a
+    header allocates nothing unless the lines hold that many numbers.
     """
-    out = np.empty((len(lines), count))
+    values = []
     for j, line in enumerate(lines):
         toks = line.split()
         if len(toks) != count:
             raise ValueError(f"line {lineno + j}: expected {count} numbers, got {len(toks)}")
         try:
-            out[j] = [float(t) for t in toks]
+            values.append([float(t) for t in toks])
         except ValueError:
             raise ValueError(f"line {lineno + j}: malformed float in {line!r}") from None
-    return out
+    return np.array(values, dtype=float).reshape(len(lines), count)
 
 
 def read_text(path, tag: str, keys: tuple[str, ...], flags: tuple[str, ...] = ()):

@@ -243,6 +243,14 @@ def test_fit_oversized_label_names_the_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: label 99999999999999999999 does not fit a 64-bit integer\n"
 
 
+def test_fit_huge_row_width_names_the_line(tmp_path, capsys):
+    # the header's m is checked against each row before any array of that width is allocated
+    path = tmp_path / "wide.dataset.txt"
+    path.write_text("mlds-dataset v1, N=1, T=1, m=100000000000, labeled=0\ntraj 0 label -\n1 2\n")
+    assert run("fit", "--data", str(path), "--out", str(tmp_path / "e.txt"), "--L", "1", "--K", "1") == 2
+    assert capsys.readouterr().err == "error: line 3: expected 100000000001 numbers, got 2\n"
+
+
 def test_fit_ho_kalman_horizon_check(tmp_path):
     data_path, _ = fit_workspace(tmp_path, N=10, T=14)
     assert run("fit", "--data", data_path, "--out", str(tmp_path / "e.txt"),

@@ -21,6 +21,7 @@ from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset
                         generate_dataset, random_mixture)
 from ldsmix.mlr import MixtureEstimate
 from ldsmix.util import derive_seed
+from forking import assert_no_children, count_forks, forbid_forks, set_cpus
 from oracles import baseline_error_loop
 
 
@@ -247,28 +248,6 @@ def test_run_sweep_bookkeeping():
         assert pairs == sorted((s, N) for s in range(15) for N in (6, 9))
 
 
-def set_cpus(monkeypatch, count):
-    """Make run_sweep see `count` CPUs in the affinity mask, so it forks count - 1 workers."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def count_forks(monkeypatch):
-    forks = []
-    real = os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_run_sweep_failed_mixture_records(monkeypatch):
     # the patched module constant reaches the forked worker of seed 0
     monkeypatch.setattr(ldsmix.lds, "_SIGMA_MIN", 1e6)
@@ -370,11 +349,7 @@ def test_run_sweep_workers_write_identical_csv(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus,seeds", [(1, (0, 1, 2)), (3, (0,))])
 def test_run_sweep_one_worker_never_forks(monkeypatch, cpus, seeds):
     set_cpus(monkeypatch, cpus)
-
-    def no_fork():
-        raise AssertionError("os.fork called")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+    forbid_forks(monkeypatch)
     assert len(run_sweep(tiny_config(seeds=seeds), timer=fake_timer())) == 2 * len(seeds)
 
 
@@ -452,7 +427,7 @@ def test_run_sweep_silent_child_death(monkeypatch):
     monkeypatch.setattr(ldsmix.evaluate, "random_mixture", mixture)
     with pytest.raises(RuntimeError) as exc:
         run_sweep(tiny_config(seeds=(0, 1, 2, 3)), timer=fake_timer())
-    assert str(exc.value) == "sweep worker for seeds [0] exited with status 7 without sending its records"
+    assert str(exc.value) == "worker for (0,) exited with status 7 without sending its result"
     assert_no_children()  # the worker of seed 1, still unread, was stopped and reaped too
 
 

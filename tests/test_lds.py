@@ -1,6 +1,9 @@
 """Tests for system generation, simulation, mixtures, and dataset files."""
 
 import hashlib
+import itertools
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -14,6 +17,7 @@ from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace,
                         random_mixture, random_stable_system, rollout,
                         save_dataset, save_mixture, simulate)
 from ldsmix.util import derive_seed
+from forking import assert_no_children, count_forks, forbid_forks, set_cpus
 from oracles import _load_whole, dataset_text_loop, generate_dataset_loop, simulate_loop
 
 
@@ -493,16 +497,18 @@ def test_dataset_file_rejects_truncation(tmp_path):
 
 
 def test_save_dataset_blocks_match_per_value_format(tmp_path, monkeypatch):
-    # two trajectories per block, so N runs through one, two and three blocks with a partial last one
+    # two trajectories per block, so N runs through one, two and three blocks with a partial last one,
+    # written by one, two or three workers
     T, m = 3, 2
     monkeypatch.setattr(lds, "_TEXT_BLOCK", 2 * T * (m + 1))
     rng = np.random.default_rng(5)
     path = tmp_path / "d.txt"
     for N in (1, 2, 3, 5):
         inputs, outputs = rng.normal(size=(N, T, m)), rng.normal(size=(N, T))
-        for labels in (None, rng.integers(0, 3, size=N)):
+        for labels, cpus in itertools.product((None, rng.integers(0, 3, size=N)), (1, 2, 3)):
+            set_cpus(monkeypatch, cpus)
             save_dataset(path, TrajectoryDataset(inputs, outputs, labels))
-            assert path.read_bytes() == dataset_text_loop(inputs, outputs, labels).encode(), (N, labels)
+            assert path.read_bytes() == dataset_text_loop(inputs, outputs, labels).encode(), (N, labels, cpus)
 
 
 def load_corpus():
@@ -523,6 +529,8 @@ def load_corpus():
     files += [text.replace("\n", "\r\n"), text.replace("\n", "\r"), text[:-1], text + "\n", text + "13 14\n",
               "\n".join(LOAD_BASE[:-1]) + "\n", text.replace("N=2", "N=1000000000000"), text]
     files.append(text.replace("label 1", "label 99999999999999999999"))  # past int64
+    # a row width that no array of that many rows could hold: the first short row is reported
+    files.append("mlds-dataset v1, N=1, T=1, m=100000000000, labeled=0\ntraj 0 label -\n1 2\n")
     files = [f.encode() for f in files] + [text.encode().replace(b"3 4", b"3 \xff4")]
     # past the 8 KiB that a text file decodes at a time: an undecodable byte in the last row,
     # alone, after a bad row in trajectory 0 and after a bad header
@@ -545,13 +553,17 @@ def load_outcome(load, path):
 
 @pytest.mark.parametrize("trajectories_per_block", [1, None])
 def test_load_dataset_blocks_agree_with_the_whole_file_reader(tmp_path, monkeypatch, trajectories_per_block):
-    # LOAD_BASE has T=3, m=1: one trajectory per block, or both in one block by default
+    # LOAD_BASE has T=3, m=1: one trajectory per block, or both in one block by default;
+    # files of several blocks are parsed by one, two or three workers
     if trajectories_per_block:
         monkeypatch.setattr(lds, "_TEXT_BLOCK", trajectories_per_block * 3 * 2)
     path = tmp_path / "d.txt"
     for raw in load_corpus():
         path.write_bytes(raw)
-        assert load_outcome(load_dataset, path) == load_outcome(_load_whole, path), raw
+        expected = load_outcome(_load_whole, path)
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            assert load_outcome(load_dataset, path) == expected, (cpus, raw)
 
 
 def corrupted_files(count, seed):
@@ -583,18 +595,108 @@ def corrupted_files(count, seed):
 
 
 def test_load_dataset_agrees_with_the_whole_file_reader_on_corrupted_files(tmp_path, monkeypatch):
+    # 1 and 7 characters make a block of each trajectory, so files of 2 and 3 trajectories
+    # are parsed by as many workers as there are CPUs, up to one per trajectory
     path = tmp_path / "d.txt"
     outcomes = []
+    default = lds._TEXT_BLOCK
     for raw in corrupted_files(300, seed=17):
         path.write_bytes(raw)
         expected = load_outcome(_load_whole, path)
         outcomes.append(expected[0] if isinstance(expected[0], type) else "loaded")
-        for chars in (1, 7, lds._TEXT_BLOCK):
+        for chars, cpus in itertools.product((1, 7, default), (1, 2, 3)):
             monkeypatch.setattr(lds, "_TEXT_BLOCK", chars)
-            assert load_outcome(load_dataset, path) == expected, (chars, raw)
-        monkeypatch.undo()
+            set_cpus(monkeypatch, cpus)
+            assert load_outcome(load_dataset, path) == expected, (chars, cpus, raw)
     # the faults reach every kind of outcome: loaded files, parse errors and undecodable bytes
     assert {"loaded", ValueError, UnicodeDecodeError} <= set(outcomes)
+
+
+def test_dataset_codec_forks_one_worker_per_cpu_but_one(tmp_path, monkeypatch):
+    data = generate_dataset(two_scalar_mixture(), 9, 4, NoiseConfig(), seed=3)
+    path = tmp_path / "d.txt"
+    monkeypatch.setattr(lds, "_TEXT_BLOCK", 2 * 4 * 2)  # two trajectories per block: five blocks
+    set_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    save_dataset(path, data)
+    assert path.read_bytes() == dataset_text_loop(data.inputs, data.outputs, data.labels).encode()
+    back = load_dataset(path)
+    assert back.inputs.tobytes() == data.inputs.tobytes() and back.outputs.tobytes() == data.outputs.tobytes()
+    assert np.array_equal(back.labels, data.labels)
+    assert forks == [os.getpid()] * 4
+    assert_no_children()
+    assert sorted(os.listdir(tmp_path)) == ["d.txt"]
+
+
+@pytest.mark.parametrize("cpus,N", [(1, 9), (3, 2)])
+def test_dataset_codec_one_worker_never_forks(tmp_path, monkeypatch, cpus, N):
+    # one CPU, or a file of one block
+    data = generate_dataset(two_scalar_mixture(), N, 4, NoiseConfig(), seed=3)
+    path = tmp_path / "d.txt"
+    monkeypatch.setattr(lds, "_TEXT_BLOCK", 2 * 4 * 2)
+    set_cpus(monkeypatch, cpus)
+    forbid_forks(monkeypatch)
+    save_dataset(path, data)
+    assert path.read_bytes() == dataset_text_loop(data.inputs, data.outputs, data.labels).encode()
+    assert load_dataset(path).outputs.tobytes() == data.outputs.tobytes()
+
+
+def codec_fault(monkeypatch, name, fault, in_worker):
+    """Patch lds.<name> to call fault() in the forked workers, or in the caller; three CPUs, five blocks."""
+    parent = os.getpid()
+    real = getattr(lds, name)
+
+    def patched(*args, **kw):
+        if (os.getpid() != parent) == in_worker:
+            fault()
+        return real(*args, **kw)
+
+    monkeypatch.setattr(lds, name, patched)
+    monkeypatch.setattr(lds, "_TEXT_BLOCK", 2 * 4 * 2)
+    set_cpus(monkeypatch, 3)
+
+
+def run_error():
+    raise ArithmeticError("run broke")
+
+
+def silent_exit():
+    os._exit(7)
+
+
+@pytest.mark.parametrize("fault,in_worker,error,message", [
+    (run_error, True, ArithmeticError, "^run broke$"),
+    (silent_exit, True, RuntimeError, "exited with status 7 without sending its result$"),
+    (run_error, False, ArithmeticError, "^run broke$"),  # the caller's own run: its workers are reaped
+])
+@pytest.mark.parametrize("step,name", [("save", "format_rows"), ("load", "_head_label")])
+def test_dataset_codec_fault_reaches_caller(tmp_path, monkeypatch, fault, in_worker, error, message, step, name):
+    # the exception arrives with its type and message, and no worker or part file outlives it
+    data = generate_dataset(two_scalar_mixture(), 9, 4, NoiseConfig(), seed=3)
+    path = tmp_path / "out" / "d.txt"
+    path.parent.mkdir()
+    save_dataset(path, data)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))  # where load_dataset keeps its part files
+    codec_fault(monkeypatch, name, fault, in_worker)
+    with pytest.raises(error, match=message):
+        save_dataset(path, data) if step == "save" else load_dataset(path)
+    assert_no_children()
+    assert os.listdir(path.parent) == ["d.txt"] and os.listdir(scratch) == []
+
+
+def test_generate_dataset_peak_memory_is_its_arrays():
+    # each block of _SIM_BLOCK trajectories is simulated once drawn, so the peak is the returned arrays plus a block
+    model = random_mixture(3, 3, 1, 7, seed=5)
+    tracemalloc.start()
+    try:
+        data = generate_dataset(model, 20000, 48, NoiseConfig(), seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = data.inputs.nbytes + data.outputs.nbytes + data.labels.nbytes
+    assert peak <= 1.2 * arrays, (peak, arrays)
 
 
 def test_load_dataset_reads_a_clean_file_by_blocks(tmp_path, monkeypatch):

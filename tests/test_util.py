@@ -1,4 +1,4 @@
-"""Tests for the shared formatting, atomic-write, seed and child-generator helpers."""
+"""Tests for the shared formatting, atomic-write, fan-out, seed and child-generator helpers."""
 
 import itertools
 import os
@@ -15,6 +15,7 @@ from ldsmix.pipeline import load_estimate
 from ldsmix.tensor3 import robust_tpm, symmetrize
 from ldsmix.util import (atomic_write_text, child_generators, derive_seed, fmt, format_rows,
                          parse_header, parse_rows, parse_weight, read_text)
+from forking import assert_no_children, count_forks, set_cpus
 
 
 def test_fmt_round_trips_float64():
@@ -90,6 +91,35 @@ def test_atomic_write_through_a_symlink(tmp_path):
     # the temp file was made beside the target and renamed over it
     assert sorted(os.listdir(tmp_path)) == ["link.txt", "plain.txt", "sub"]
     assert os.listdir(tmp_path / "sub") == ["real.txt"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_fan_out_runs_contiguous_runs_in_order(monkeypatch, cpus):
+    set_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    parent = os.getpid()
+    runs = util.fan_out(lambda run: (run, os.getpid() == parent), range(5))
+    W = min(cpus, 5)
+    assert [run for run, _ in runs] == [range(5)[i * 5 // W:(i + 1) * 5 // W] for i in range(W)]
+    assert [here for _, here in runs] == [False] * (W - 1) + [True]  # the caller runs the last run
+    assert forks == [parent] * (W - 1)
+    assert_no_children()
+    assert util.fan_out(len, ()) == [0]
+
+
+def test_fan_out_raises_the_first_exception_in_run_order(monkeypatch):
+    # runs (0,) and (1,) go to workers; (1,) and the caller's (2,) both raise
+    set_cpus(monkeypatch, 3)
+
+    def fn(run):
+        if run[0]:
+            raise LookupError(f"run {run[0]} broke")
+        return run
+
+    with pytest.raises(LookupError) as exc:
+        util.fan_out(fn, (0, 1, 2))
+    assert type(exc.value) is LookupError and str(exc.value) == "run 1 broke"
+    assert_no_children()
 
 
 def test_derive_seed_deterministic_and_distinct():
