@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import tempfile
@@ -424,9 +425,11 @@ def load_dataset(path) -> TrajectoryDataset:
             fh.write(Y[lo:hi])
         return outcome, (lo, hi, part)
 
+    blocks = range(0, N, _block_trajectories(T, m) if fits else max(N, 1))
     try:
-        with tempfile.TemporaryDirectory(prefix="ldsmix-") as scratch:
-            runs = fan_out(read_run, range(0, N, _block_trajectories(T, m) if fits else max(N, 1)))
+        # a file of one block is read in-process and needs no scratch directory
+        with tempfile.TemporaryDirectory(prefix="ldsmix-") if len(blocks) > 1 else contextlib.nullcontext() as scratch:
+            runs = fan_out(read_run, blocks)
             for k in range(3):  # the line count, then the first bad line, then the first non-finite value
                 for outcome, _ in runs:
                     if outcome[k] is not None:

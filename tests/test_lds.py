@@ -641,6 +641,14 @@ def test_dataset_codec_one_worker_never_forks(tmp_path, monkeypatch, cpus, N):
     assert load_dataset(path).outputs.tobytes() == data.outputs.tobytes()
 
 
+def test_load_dataset_of_one_block_needs_no_temp_directory(tmp_path, monkeypatch):
+    data = generate_dataset(two_scalar_mixture(), 2, 4, NoiseConfig(), seed=3)
+    path = tmp_path / "d.txt"
+    save_dataset(path, data)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert load_dataset(path).outputs.tobytes() == data.outputs.tobytes()
+
+
 def codec_fault(monkeypatch, name, fault, in_worker):
     """Patch lds.<name> to call fault() in the forked workers, or in the caller; three CPUs, five blocks."""
     parent = os.getpid()
