@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import contextlib
 import itertools
+import mmap
 import os
+import stat
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -387,6 +388,12 @@ def _text_blocks(fh):
     yield tail.splitlines()
 
 
+def _shared_arrays(N: int, T: int, m: int):
+    # zeroed (N, T, m) and (N, T) float arrays in one anonymous MAP_SHARED mapping, which forked workers write into
+    values = np.frombuffer(mmap.mmap(-1, 8 * N * T * (m + 1)), dtype=float)
+    return values[:N * T * m].reshape(N, T, m), values[N * T * m:].reshape(N, T)
+
+
 def load_dataset(path) -> TrajectoryDataset:
     """Read the mlds-dataset v1 text format as a stream, one trajectory's lines at a time.
 
@@ -395,56 +402,39 @@ def load_dataset(path) -> TrajectoryDataset:
     that is off, the first bad head or numeric line, the first non-finite value.
 
     util.fan_out splits the blocks of trajectories into contiguous runs. Each
-    run's worker streams the whole file, whose line count every run checks,
-    and parses the rows of its own trajectories only; a forked worker writes
-    them to a part file, which is read back into the arrays here. A header that
-    does not parse, or that claims more values than the file has bytes, makes
-    one run, which finds the file's first fault.
+    run's worker re-opens the file (so it must be a regular file, not a pipe)
+    and parses the rows of its own trajectories straight into the returned
+    arrays; the last run reads on and checks the line count. A header that
+    does not parse, or that claims more values than the file has bytes,
+    allocates nothing and makes one run, which finds the file's first fault.
+    The arrays share one anonymous MAP_SHARED mapping: a process forked after
+    the load that writes into them writes into the caller's arrays.
     """
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise ValueError(f"{path}: not a regular file")  # a pipe included: each worker re-opens the path
     try:
         with open(path) as fh:
             header = next(itertools.chain.from_iterable(_text_blocks(fh)), "")
-            size = os.fstat(fh.fileno()).st_size
         N, T, m, labeled = header_values(header, "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
         # every value takes a byte at least: a header larger than its file allocates nothing
-        fits = size >= N * T * (m + 1)
+        fits = info.st_size >= N * T * (m + 1)
     except ValueError:  # an undecodable byte included
         N = T = m = labeled = 0
         fits = False
-    U, Y = (np.empty((N, T, m)), np.empty((N, T))) if fits else (None, None)
-    parent = os.getpid()
-
-    def read_run(starts):
-        lo, hi = starts.start, min(starts.stop, N)
-        outcome = _read_dataset(path, lo, hi, U, Y)
-        if os.getpid() == parent:
-            return outcome, None
-        part = os.path.join(scratch, str(lo))
-        with open(part, "wb") as fh:
-            fh.write(U[lo:hi])
-            fh.write(Y[lo:hi])
-        return outcome, (lo, hi, part)
-
+    U, Y = _shared_arrays(N, T, m) if fits else (None, None)
     blocks = range(0, N, _block_trajectories(T, m) if fits else max(N, 1))
     try:
-        # a file of one block is read in-process and needs no scratch directory
-        with tempfile.TemporaryDirectory(prefix="ldsmix-") if len(blocks) > 1 else contextlib.nullcontext() as scratch:
-            runs = fan_out(read_run, blocks)
-            for k in range(3):  # the line count, then the first bad line, then the first non-finite value
-                for outcome, _ in runs:
-                    if outcome[k] is not None:
-                        raise outcome[k]
-            for _, forked in runs:
-                if forked:
-                    lo, hi, part = forked
-                    with open(part, "rb") as fh:
-                        fh.readinto(U[lo:hi])
-                        fh.readinto(Y[lo:hi])
+        runs = fan_out(lambda starts: _read_dataset(path, starts.start, min(starts.stop, N), U, Y), blocks)
     except UnicodeDecodeError:
         with open(path) as fh:
             fh.read()  # the error names an offset in the block decoded last; raise it with the offset in the file
         raise
-    return TrajectoryDataset(U, Y, [label for outcome, _ in runs for label in outcome[3]] if labeled else None)
+    for k in range(3):  # the line count, then the first bad line, then the first non-finite value
+        for outcome in runs:
+            if outcome[k] is not None:
+                raise outcome[k]
+    return TrajectoryDataset(U, Y, [label for outcome in runs for label in outcome[3]] if labeled else None)
 
 
 def _read_dataset(path, lo: int, hi: int, U, Y):
@@ -487,8 +477,10 @@ def _read_dataset(path, lo: int, hi: int, U, Y):
                     U[i], Y[i] = rows[:, :m], rows[:, m]
         except UnicodeDecodeError:
             raise
-        except ValueError as exc:  # reported after the rest of the file is read, unless its line count is off
+        except ValueError as exc:  # reported after the line count, which the last run checks
             error = exc
+        if expected is not None and hi < N:  # a run before the last: the lines after its range are the last run's
+            return None, error, non_finite, labels
         count += sum(1 for _ in lines)
     if expected in (None, count):
         return None, error, non_finite, labels

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -641,12 +642,51 @@ def test_dataset_codec_one_worker_never_forks(tmp_path, monkeypatch, cpus, N):
     assert load_dataset(path).outputs.tobytes() == data.outputs.tobytes()
 
 
-def test_load_dataset_of_one_block_needs_no_temp_directory(tmp_path, monkeypatch):
-    data = generate_dataset(two_scalar_mixture(), 2, 4, NoiseConfig(), seed=3)
+@pytest.mark.parametrize("N", [2, 9])
+def test_load_dataset_needs_no_temp_directory(tmp_path, monkeypatch, N):
+    # one block, or five blocks read by three workers, which parse straight into the caller's arrays
+    data = generate_dataset(two_scalar_mixture(), N, 4, NoiseConfig(), seed=3)
     path = tmp_path / "d.txt"
     save_dataset(path, data)
+    monkeypatch.setattr(lds, "_TEXT_BLOCK", 2 * 4 * 2)
+    set_cpus(monkeypatch, 3)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-    assert load_dataset(path).outputs.tobytes() == data.outputs.tobytes()
+    back = load_dataset(path)
+    assert back.inputs.tobytes() == data.inputs.tobytes() and back.outputs.tobytes() == data.outputs.tobytes()
+    assert np.array_equal(back.labels, data.labels)
+    assert_no_children()
+    assert sorted(os.listdir(tmp_path)) == ["d.txt"]
+
+
+def test_load_dataset_rejects_a_pipe_and_follows_a_symlink(tmp_path):
+    # each worker re-opens the path, which a pipe's reader cannot; the check comes before open, so no writer is needed
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(fifo))}: not a regular file$"):
+        load_dataset(fifo)
+    data = generate_dataset(two_scalar_mixture(), 3, 4, NoiseConfig(), seed=3)
+    save_dataset(tmp_path / "d.txt", data)
+    (tmp_path / "link.txt").symlink_to(tmp_path / "d.txt")
+    assert load_dataset(tmp_path / "link.txt").outputs.tobytes() == data.outputs.tobytes()
+
+
+def test_load_dataset_runs_before_the_last_stop_at_their_range(tmp_path, monkeypatch):
+    # an undecodable byte in trajectory 2's last row, more than a decoded chunk (8 KiB) past trajectory 0:
+    # the run of trajectory 0 alone never reaches it, and the last run, which reads the whole file, does
+    T = 3000
+    rows = "".join(f"{t} 0.5\n" for t in range(T))
+    raw = ("mlds-dataset v1, N=3, T=3000, m=1, labeled=0\n"
+           + "".join(f"traj {i} label -\n{rows}" for i in range(3))).encode()
+    raw = raw[:-2] + b"\xff\n"
+    path = tmp_path / "d.txt"
+    path.write_bytes(raw)
+    monkeypatch.setattr(lds, "_TEXT_BLOCK", T * 2)  # one trajectory per block
+    assert lds._read_dataset(path, 0, 1, None, None) == (None, None, None, [None])
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        with pytest.raises(UnicodeDecodeError) as info:
+            load_dataset(path)
+        assert info.value.start == raw.index(b"\xff"), cpus
 
 
 def codec_fault(monkeypatch, name, fault, in_worker):
@@ -686,7 +726,7 @@ def test_dataset_codec_fault_reaches_caller(tmp_path, monkeypatch, fault, in_wor
     save_dataset(path, data)
     scratch = tmp_path / "tmp"
     scratch.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(scratch))  # where load_dataset keeps its part files
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))  # neither step leaves a file there either
     codec_fault(monkeypatch, name, fault, in_worker)
     with pytest.raises(error, match=message):
         save_dataset(path, data) if step == "save" else load_dataset(path)
