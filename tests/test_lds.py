@@ -794,8 +794,8 @@ def test_dataset_codec_memory_does_not_grow_with_n(tmp_path):
         load_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = back.inputs.nbytes + back.outputs.nbytes + back.labels.nbytes
-    assert load_peak - arrays < block_text, (load_peak, arrays, block_text)
+    # the inputs and outputs live in a shared mapping, which tracemalloc does not see
+    assert load_peak - back.labels.nbytes < block_text, (load_peak, block_text)
 
 
 def test_mixture_file_round_trip(tmp_path):
