@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import warnings as _warnings
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from .errors import InsufficientLengthError
 from .lds import StateSpace, TrajectoryDataset
 from .mlr import (MixtureEstimate, estimate_m2, estimate_whitened_m3, mlr_fit, refine_first_moment,
                   whitening_from_m2)
-from .util import fmt, format_rows, parse_rows, parse_weight, read_text
+from .util import cpu_count, fmt, format_rows, parse_rows, parse_weight, read_text
 
 # lag rows per block of the moment passes in mlds_fit: at N=1e4, T=96, L=7
 # every pass, the refine pass over all 130 000 rows included, is one block
@@ -69,12 +70,41 @@ def _block_sum(name, stage, dataset, L, sigma_u, start, stop):
     # the sum of share * stage(X, y) over the stacked (X, y) of trajectories
     # [start, stop) in blocks of at most _ROW_BUDGET rows, share being the
     # block's fraction of the range's rows; a lone block has share 1.0 and so
-    # gives stage(X, y) bit for bit. Finite data too large for its powers
-    # overflows the moment, which is reported by name with the data's scale.
+    # gives stage(X, y) bit for bit. W = min(#blocks, CPUs) threads compute the
+    # terms, thread w the blocks w, w + W, ..., and the caller is thread 0, so a
+    # lone block starts no thread; numpy releases the GIL in the block work.
+    # The terms are added here in block order, so the sum has the same bits
+    # for any W, and the first error in block order is the one raised. Finite
+    # data too large for its powers overflows the moment, which is reported by
+    # name with the data's scale.
+    blocks = list(trajectory_blocks(start, stop, dataset.T // L, _ROW_BUDGET))
+    terms = [None] * len(blocks)  # a block's term, or the exception its work raised
+    W = min(len(blocks), cpu_count())
+
+    def work(w):
+        # errstate is per thread, and a new thread starts from numpy's defaults
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(w, len(blocks), W):
+                a, b = blocks[i]
+                try:
+                    terms[i] = (b - a) / (stop - start) * stage(*build_stacked(dataset, L, sigma_u, a, b))
+                except Exception as exc:
+                    terms[i] = exc
+                    return
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, W)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
     total = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in trajectory_blocks(start, stop, dataset.T // L, _ROW_BUDGET):
-            term = (b - a) / (stop - start) * stage(*build_stacked(dataset, L, sigma_u, a, b))
+        for term in terms:  # a thread stops at its first error, so no term is None before an error
+            if isinstance(term, Exception):
+                raise term
             total = term if total is None else total + term
     if not np.isfinite(total).all():
         raise ValueError(f"{name} overflows float64: the outputs reach |y| = {np.abs(dataset.outputs).max():.3g} "
@@ -92,6 +122,9 @@ def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
     first moment of all rows (refine_first_moment). Each moment sums its
     blocks of at most _ROW_BUDGET rows, weighted by row share, so the stacked
     X of all trajectories never exists; the M3 blocks come after whitening.
+    A pass of several blocks computes them on up to one thread per CPU and
+    adds them in block order, so the estimate's bits do not depend on the
+    CPU count.
     """
     if K < 1:
         raise ValueError("K must be >= 1")

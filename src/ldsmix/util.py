@@ -1,5 +1,5 @@
 """Small shared helpers: float formatting, atomic writes, seed derivation and child streams, text parsing,
-and fan_out, which runs a function over contiguous runs of items in forked workers.
+the CPU count, and fan_out, which runs a function over contiguous runs of items in forked workers.
 
 The mlds-* text files share one row codec: format_rows writes an array one row
 per line, parse_rows reads such lines back, read_text opens a file and checks its header.
@@ -61,19 +61,21 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
+def cpu_count() -> int:
+    """The number of CPUs in the process's affinity mask (1 where os.sched_getaffinity is missing)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def fan_out(fn, items) -> list:
     """[fn(run) for run in runs], where runs are W contiguous slices of items, in order.
 
-    W is the number of CPUs in the process's affinity mask, at most len(items)
-    (1 where os.fork or os.sched_getaffinity is missing). Each run but the last
+    W is cpu_count(), at most len(items) (1 where os.fork is missing). Each run but the last
     goes to a forked child; the calling process runs the last one, and any run
     whose fork failed. A run's result must pickle. The exception of the first
     run in run order that raised one is re-raised here with its type and
     message, and no child outlives the call.
     """
-    W = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        W = max(1, min(len(os.sched_getaffinity(0)), len(items)))
+    W = max(1, min(cpu_count(), len(items))) if hasattr(os, "fork") else 1
     runs = [items[i * len(items) // W:(i + 1) * len(items) // W] for i in range(W)]
     pending = {}  # run index -> (pid, read end) of a forked child not yet reaped
     try:

@@ -1,12 +1,19 @@
-"""Helpers for tests of util.fan_out and its callers: a patched CPU count, a fork counter, a reap check."""
+"""Helpers for tests of the code that runs on every CPU: util.fan_out and its callers, and the
+threaded moment passes of pipeline.mlds_fit. A patched CPU count, a fork counter, a reap check,
+and guards that fail a test on any fork or thread start."""
 
 import os
+import threading
 
 import pytest
 
 
 def set_cpus(monkeypatch, count):
-    """Make util.fan_out see `count` CPUs in the affinity mask, so it forks up to count - 1 workers."""
+    """Make util.cpu_count() read `count` CPUs in the affinity mask.
+
+    util.fan_out then forks up to count - 1 workers, and each moment pass of
+    mlds_fit starts up to count - 1 threads.
+    """
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
@@ -28,6 +35,13 @@ def forbid_forks(monkeypatch):
         raise AssertionError("os.fork called")
 
     monkeypatch.setattr(os, "fork", no_fork)
+
+
+def forbid_threads(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("threading.Thread called")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
 
 
 def assert_no_children():

@@ -35,6 +35,18 @@ def run_process(*argv):
     return proc.returncode, proc.stderr, proc.stdout
 
 
+def test_importing_the_cli_loads_no_process_pool_module():
+    # every ldsmix process pays for its imports at start-up; the threads of the
+    # moment passes come from threading, which the CLI loads anyway, and not
+    # from concurrent.futures or multiprocessing, which would add to that cost
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ldsmix.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_no_command_prints_help(capsys):
     assert run() == 2
     assert "simulate" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Tests for trajectory stacking, the end-to-end fit, OLS baseline, and realization."""
 
 import hashlib
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -15,6 +17,7 @@ from ldsmix.lds import (MixtureModel, NoiseConfig, StateSpace, TrajectoryDataset
 from ldsmix.mlr import MixtureEstimate
 from ldsmix.pipeline import (build_stacked, estimate_text, ho_kalman, load_estimate,
                              mlds_fit, ols_markov, stack_times)
+from forking import forbid_threads, set_cpus
 from oracles import lag_windows_loop, mlds_fit_one_array, ols_markov_lstsq, save_estimate
 
 
@@ -143,23 +146,39 @@ def test_build_stacked_partition_by_trajectory(monkeypatch):
     # S = 2 rows per trajectory: the first ceil(N/2) = 3 trajectories feed M2
     # and the other 2 feed M3. Whether each half is one block (the default
     # budget) or one block per trajectory (2 rows), the rows each stage sees,
-    # concatenated in order, are X[:6] and X[6:] of the full stacked X
+    # concatenated in order, are X[:6] and X[6:] of the full stacked X. On 3
+    # CPUs a pass's blocks reach the stage from threads in any order, so there
+    # they are put in the order of their first trajectory
     ds = make_dataset(5, 4, 1)
     X, y = build_stacked(ds, 2)
-    for budget, blocks in ((pipeline._ROW_BUDGET, (1, 1)), (2, (3, 2))):
-        monkeypatch.setattr(pipeline, "_ROW_BUDGET", budget)
-        seen = {"estimate_m2": [], "estimate_whitened_m3": []}
-        # the stand-in moments whiten and decompose cleanly: M2 = I, M3w = 1
-        for name, moment in (("estimate_m2", np.eye(2)), ("estimate_whitened_m3", np.ones((1, 1, 1)))):
-            def record(Xh, yh, *rest, _name=name, _moment=moment):
-                seen[_name].append((Xh, yh))
-                return _moment
-            monkeypatch.setattr(pipeline, name, record)
-        mlds_fit(ds, L=2, K=1)
-        for name, rows, count in zip(seen, (slice(None, 6), slice(6, None)), blocks):
-            Xs, ys = zip(*seen[name])
-            assert len(Xs) == count
-            assert np.array_equal(np.concatenate(Xs), X[rows]) and np.array_equal(np.concatenate(ys), y[rows])
+    starts = {}  # id of a stacked block's X -> its first trajectory
+    build = pipeline.build_stacked
+
+    def stack(dataset, L, sigma_u, start, stop):
+        Xb, yb = build(dataset, L, sigma_u, start, stop)
+        starts[id(Xb)] = start
+        return Xb, yb
+
+    monkeypatch.setattr(pipeline, "build_stacked", stack)
+    budgets = ((pipeline._ROW_BUDGET, (1, 1)), (2, (3, 2)))
+    for cpus in (1, 3):
+        set_cpus(monkeypatch, cpus)
+        for budget, blocks in budgets:
+            monkeypatch.setattr(pipeline, "_ROW_BUDGET", budget)
+            seen = {"estimate_m2": [], "estimate_whitened_m3": []}
+            # the stand-in moments whiten and decompose cleanly: M2 = I, M3w = 1
+            for name, moment in (("estimate_m2", np.eye(2)), ("estimate_whitened_m3", np.ones((1, 1, 1)))):
+                def record(Xh, yh, *rest, _name=name, _moment=moment):
+                    seen[_name].append((starts[id(Xh)], Xh, yh))
+                    return _moment
+                monkeypatch.setattr(pipeline, name, record)
+            mlds_fit(ds, L=2, K=1)
+            for name, rows, count in zip(seen, (slice(None, 6), slice(6, None)), blocks):
+                if cpus > 1:
+                    seen[name].sort(key=lambda block: block[0])
+                _, Xs, ys = zip(*seen[name])
+                assert len(Xs) == count
+                assert np.array_equal(np.concatenate(Xs), X[rows]) and np.array_equal(np.concatenate(ys), y[rows])
 
 
 def test_trajectory_blocks_cover_the_range_under_the_budget():
@@ -221,6 +240,108 @@ def test_blocked_moments_stay_within_1e_12(monkeypatch, per_block):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("per_block", [1, 7])
+def test_blocked_moments_and_fit_have_the_same_bits_on_any_cpu_count(monkeypatch, per_block):
+    # the blocks' terms are added in block order whatever thread computed
+    # them, so M2, the whitened M3, the refine pass's first moment and the
+    # estimate keep their bits on 1, 2 and 3 CPUs
+    ds = fit_case(301)
+    sums, ests = {}, {}
+    block_sum = pipeline._block_sum
+
+    def record(*args):
+        sums[cpus].append(block_sum(*args))
+        return sums[cpus][-1]
+
+    monkeypatch.setattr(pipeline, "_block_sum", record)
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", block_budget(per_block, 96 // 7))
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        sums[cpus] = []
+        ests[cpus] = mlds_fit(ds, 7, 3, seed=2, refine=True)
+    assert len(sums[1]) == 3
+    for cpus in (2, 3):
+        assert all(np.array_equal(got, want) for got, want in zip(sums[cpus], sums[1], strict=True))
+        assert np.array_equal(ests[cpus].weights, ests[1].weights)
+        assert np.array_equal(ests[cpus].coeffs, ests[1].coeffs)
+
+
+def numbered_trajectories(N):
+    """N trajectories of T=4 whose responses are all the trajectory's index: at L=2, S = 2 rows each."""
+    inputs = np.random.default_rng(0).normal(size=(N, 4, 1))
+    return TrajectoryDataset(inputs, np.repeat(np.arange(float(N))[:, None], 4, axis=1))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_block_sum_deals_the_blocks_to_min_blocks_cpus_threads(monkeypatch, cpus):
+    # five one-trajectory blocks on W = min(5, cpus) threads: thread w sums
+    # blocks w, w + W, ..., and the calling thread is thread 0
+    ds = numbered_trajectories(5)
+    ran = {}  # block -> the thread that ran its stage
+
+    def stage(X, y):
+        ran[int(y[0])] = threading.current_thread()
+        return np.ones(1)
+
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", 2)
+    set_cpus(monkeypatch, cpus)
+    assert np.allclose(pipeline._block_sum("M2", stage, ds, 2, 1.0, 0, 5), 1.0, rtol=0, atol=1e-15)
+    W = min(5, cpus)
+    assert ran[0] is threading.current_thread()
+    assert len(set(ran.values())) == W
+    assert all(ran[i] is ran[i % W] for i in range(5))
+
+
+def test_block_sum_raises_the_first_error_in_block_order(monkeypatch):
+    # five one-trajectory blocks; the stages of blocks 1 and 3 raise, block
+    # 1's after a pause, so on 3 CPUs block 3 (on the calling thread) fails
+    # first in time. Block 1's error is raised on any CPU count, and every
+    # started thread has ended
+    ds = numbered_trajectories(5)
+
+    def stage(X, y):
+        block = int(y[0])
+        if block == 1:
+            time.sleep(0.05)
+            raise LookupError("block 1 broke")
+        if block == 3:
+            raise ValueError("block 3 broke")
+        return np.zeros(1)
+
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", 2)  # one trajectory per block
+    threads = threading.active_count()
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        with pytest.raises(LookupError, match="block 1 broke"):
+            pipeline._block_sum("M2", stage, ds, 2, 1.0, 0, 5)
+        assert threading.active_count() == threads
+
+
+def test_threaded_blocks_report_an_overflow_by_name(monkeypatch):
+    # outputs at 1e103 overflow their cubes in every block of the M3 half. Each
+    # thread ignores the overflow as the calling thread does, so on 3 CPUs the
+    # moment is named in one error and no RuntimeWarning is raised
+    ds = fit_case(301)
+    big = TrajectoryDataset(ds.inputs, ds.outputs * 1e103)
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", block_budget(7, 96 // 7))
+    set_cpus(monkeypatch, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the whitened M3 overflows float64"):
+            mlds_fit(big, 7, 3)
+
+
+def test_one_block_passes_start_no_thread(monkeypatch):
+    # at the default budget every pass of an N=400 fit, refine included, is
+    # one block, which the calling thread sums whatever the CPU count
+    set_cpus(monkeypatch, 3)
+    forbid_threads(monkeypatch)
+    ds = fit_case(400)
+    est = mlds_fit(ds, 7, 3, seed=2, refine=True)
+    ref = mlds_fit_one_array(ds, 7, 3, seed=2, refine=True)
+    assert np.array_equal(est.weights, ref.weights) and np.array_equal(est.coeffs, ref.coeffs)
+
+
 def test_mlds_fit_rejects_an_empty_half(monkeypatch):
     # N=1 leaves the M3 half empty, which is reported before any stage runs
     def stage(*args, **kw):
@@ -249,9 +370,17 @@ def test_mlds_fit_stacks_the_m3_blocks_after_whitening(monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_stacked", record)
     monkeypatch.setattr(pipeline, "_ROW_BUDGET", 2)
+    set_cpus(monkeypatch, 1)
     with pytest.raises(DegenerateMixtureError):
         mlds_fit(TrajectoryDataset(inputs, outputs), L=3, K=2)
     assert stacked == [(0, 1), (1, 2)]
+    # on 3 CPUs the two M2 blocks are stacked by two threads in either order,
+    # and still no M3 block is stacked
+    stacked.clear()
+    set_cpus(monkeypatch, 3)
+    with pytest.raises(DegenerateMixtureError):
+        mlds_fit(TrajectoryDataset(inputs, outputs), L=3, K=2)
+    assert sorted(stacked) == [(0, 1), (1, 2)]
 
 
 def orthogonal_fir_mixture():

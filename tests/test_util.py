@@ -93,6 +93,13 @@ def test_atomic_write_through_a_symlink(tmp_path):
     assert os.listdir(tmp_path / "sub") == ["real.txt"]
 
 
+def test_cpu_count_reads_the_affinity_mask(monkeypatch):
+    set_cpus(monkeypatch, 3)
+    assert util.cpu_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert util.cpu_count() == 1
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 def test_fan_out_runs_contiguous_runs_in_order(monkeypatch, cpus):
     set_cpus(monkeypatch, cpus)
