@@ -70,16 +70,18 @@ def _block_sum(name, stage, dataset, L, sigma_u, start, stop):
     # the sum of share * stage(X, y) over the stacked (X, y) of trajectories
     # [start, stop) in blocks of at most _ROW_BUDGET rows, share being the
     # block's fraction of the range's rows; a lone block has share 1.0 and so
-    # gives stage(X, y) bit for bit. W = min(#blocks, CPUs) threads compute the
-    # terms, thread w the blocks w, w + W, ..., and the caller is thread 0, so a
-    # lone block starts no thread; numpy releases the GIL in the block work.
-    # The terms are added here in block order, so the sum has the same bits
-    # for any W, and the first error in block order is the one raised. Finite
-    # data too large for its powers overflows the moment, which is reported by
-    # name with the data's scale.
+    # gives stage(X, y) bit for bit. W = min(#blocks, CPUs, 2) threads compute
+    # the terms, thread w the blocks w, w + W, ..., and the caller is thread 0,
+    # so a lone block starts no thread; numpy releases the GIL in the block
+    # work. Each block in flight holds its stacked X and the stage's copies of
+    # it, so W stops at two: the pass then holds at most twice the rows of a
+    # serial one on any host. The terms are added here in block order, so the
+    # sum has the same bits for any W, and the first error in block order is
+    # the one raised. Finite data too large for its powers overflows the
+    # moment, which is reported by name with the data's scale.
     blocks = list(trajectory_blocks(start, stop, dataset.T // L, _ROW_BUDGET))
     terms = [None] * len(blocks)  # a block's term, or the exception its work raised
-    W = min(len(blocks), cpu_count())
+    W = min(len(blocks), cpu_count(), 2)
 
     def work(w):
         # errstate is per thread, and a new thread starts from numpy's defaults
@@ -122,9 +124,9 @@ def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
     first moment of all rows (refine_first_moment). Each moment sums its
     blocks of at most _ROW_BUDGET rows, weighted by row share, so the stacked
     X of all trajectories never exists; the M3 blocks come after whitening.
-    A pass of several blocks computes them on up to one thread per CPU and
-    adds them in block order, so the estimate's bits do not depend on the
-    CPU count.
+    A pass of several blocks computes them on two threads where the process
+    has two CPUs or more, so at most two blocks are in flight, and adds them
+    in block order, so the estimate's bits do not depend on the CPU count.
     """
     if K < 1:
         raise ValueError("K must be >= 1")

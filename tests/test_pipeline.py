@@ -273,8 +273,8 @@ def numbered_trajectories(N):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-def test_block_sum_deals_the_blocks_to_min_blocks_cpus_threads(monkeypatch, cpus):
-    # five one-trajectory blocks on W = min(5, cpus) threads: thread w sums
+def test_block_sum_deals_the_blocks_to_at_most_two_threads(monkeypatch, cpus):
+    # five one-trajectory blocks on W = min(5, cpus, 2) threads: thread w sums
     # blocks w, w + W, ..., and the calling thread is thread 0
     ds = numbered_trajectories(5)
     ran = {}  # block -> the thread that ran its stage
@@ -286,7 +286,7 @@ def test_block_sum_deals_the_blocks_to_min_blocks_cpus_threads(monkeypatch, cpus
     monkeypatch.setattr(pipeline, "_ROW_BUDGET", 2)
     set_cpus(monkeypatch, cpus)
     assert np.allclose(pipeline._block_sum("M2", stage, ds, 2, 1.0, 0, 5), 1.0, rtol=0, atol=1e-15)
-    W = min(5, cpus)
+    W = min(5, cpus, 2)
     assert ran[0] is threading.current_thread()
     assert len(set(ran.values())) == W
     assert all(ran[i] is ran[i % W] for i in range(5))
@@ -442,6 +442,15 @@ def test_mlds_fit_never_holds_the_stacked_x(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < full_nbytes / 2
+
+
+@pytest.mark.parametrize("cpus", [3, 8])
+def test_mlds_fit_never_holds_the_stacked_x_on_many_cpus(monkeypatch, cpus):
+    # each pass of the test above has 7 to 13 blocks, which 3 or 8 threads
+    # would hold several at a time; the block threads stop at two, so its
+    # bound holds whatever the host's CPU count
+    set_cpus(monkeypatch, cpus)
+    test_mlds_fit_never_holds_the_stacked_x(monkeypatch)
 
 
 def test_mlds_fit_fir_single_component():
