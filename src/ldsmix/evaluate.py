@@ -21,6 +21,8 @@ CSV_HEADER = "N,T,K,L,seed,method,error,weight_error,wall_ms,status"
 # lag rows per batched ols_markov call in baseline_error; small, because one
 # call over every trajectory raised the study sweep's peak RSS by half
 _OLS_ROW_BUDGET = 4096
+# the largest K that match_components tries every permutation of (8! = 40 320)
+_MATCH_MAX_K = 8
 
 
 @dataclass
@@ -35,7 +37,7 @@ class MatchResult:
 
 
 def match_components(est: MixtureEstimate, truth: MixtureModel, L: int) -> MatchResult:
-    """Exhaustive assignment (K <= 8) minimizing the summed l2 coefficient error.
+    """Exhaustive assignment (K <= _MATCH_MAX_K = 8) minimizing the summed l2 coefficient error.
 
     Weights are reported under the chosen assignment but do not enter the
     matching cost. Ties go to the lexicographically first permutation.
@@ -44,8 +46,8 @@ def match_components(est: MixtureEstimate, truth: MixtureModel, L: int) -> Match
     K = truth.K
     if est.K != K:
         raise ValueError(f"estimate has {est.K} components, truth has {K}")
-    if K > 8:
-        raise ValueError("exhaustive matching is limited to K <= 8")
+    if K > _MATCH_MAX_K:
+        raise ValueError(f"exhaustive matching is limited to K <= {_MATCH_MAX_K}")
     G = truth.markov_matrix(L)
     if est.dim != G.shape[1]:
         raise ValueError(f"coefficient length {est.dim} does not match L*m = {G.shape[1]}")
@@ -86,7 +88,8 @@ class SweepConfig:
     Methods come from METHODS; seeds, N_values, T_values and methods are non-empty without repeats
     (aggregate() would count a repeat's records as replicates); N and T entries are >= 1, seeds
     >= 0, and n_iters and n_restarts (when given) >= 1, so a sweep whose methods do not use them,
-    or whose forked workers would see them first, fails before it starts.
+    or whose forked workers would see them first, fails before it starts. K may exceed
+    _MATCH_MAX_K = 8 only in a baseline-only sweep, as the other methods match components.
     """
 
     K: int
@@ -119,6 +122,10 @@ class SweepConfig:
         for name in ("n_restarts", "n_iters"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        matched = tuple(meth for meth in self.methods if meth != "baseline")  # those that call match_components
+        if self.K > _MATCH_MAX_K and matched:
+            raise ValueError(f"exhaustive matching is limited to K <= {_MATCH_MAX_K}, got K={self.K} "
+                             f"for methods {matched}")
 
 
 @dataclass

@@ -329,7 +329,7 @@ def save_dataset(path, ds: TrajectoryDataset) -> None:
     util.fan_out splits the blocks into contiguous runs; each run's worker
     writes the text of its blocks to its own part file in a scratch directory
     beside the target, and the header and the parts are then joined, in file
-    order, through atomic_write_text.
+    order, through atomic_write_text. An OSError from making the scratch directory names the target.
     """
     labs = ds.labels.tolist() if ds.labels is not None else ["-"] * ds.N
     step = _block_trajectories(ds.T, ds.m)
@@ -347,7 +347,11 @@ def save_dataset(path, ds: TrajectoryDataset) -> None:
                 fh.writelines(block_text(lo))
         return part
 
-    with tempfile.TemporaryDirectory(prefix=".tmp-", dir=os.path.dirname(os.path.realpath(path))) as scratch:
+    try:
+        scratch_dir = tempfile.TemporaryDirectory(prefix=".tmp-", dir=os.path.dirname(os.path.realpath(path)))
+    except OSError as exc:  # named after the target, not the scratch directory
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    with scratch_dir as scratch:
         parts = fan_out(write_part, range(0, ds.N, step))
         head = f"mlds-dataset v1, N={ds.N}, T={ds.T}, m={ds.m}, labeled={int(ds.labels is not None)}\n"
         atomic_write_text(path, itertools.chain([head], *map(_file_text, parts)))

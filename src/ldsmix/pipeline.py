@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 import warnings as _warnings
 from dataclasses import replace
 
@@ -45,6 +44,8 @@ def build_stacked(dataset: TrajectoryDataset, L: int, sigma_u: float = 1.0, star
     """
     if not sigma_u > 0.0:
         raise ValueError(f"sigma_u must be positive, got {sigma_u!r}")
+    if sigma_u == np.inf:  # it would make every lag row 0
+        raise ValueError("sigma_u must be finite, got inf")
     times = stack_times(dataset.T, L)
     X = _lag_rows(dataset.inputs[start:stop], L, times)
     with np.errstate(over="ignore"):  # an overflow is reported by the check below
@@ -70,44 +71,33 @@ def _block_sum(name, stage, dataset, L, sigma_u, start, stop):
     # the sum of share * stage(X, y) over the stacked (X, y) of trajectories
     # [start, stop) in blocks of at most _ROW_BUDGET rows, share being the
     # block's fraction of the range's rows; a lone block has share 1.0 and so
-    # gives stage(X, y) bit for bit. W = min(#blocks, CPUs, 2) threads compute
-    # the terms, thread w the blocks w, w + W, ..., and the caller is thread 0,
-    # so a lone block starts no thread; numpy releases the GIL in the block
-    # work. Each block in flight holds its stacked X and the stage's copies of
-    # it, so W stops at two: the pass then holds at most twice the rows of a
-    # serial one on any host. The terms are added here in block order, so the
-    # sum has the same bits for any W, and the first error in block order is
-    # the one raised. Finite data too large for its powers overflows the
-    # moment, which is reported by name with the data's scale.
+    # gives stage(X, y) bit for bit. A pass of several blocks on two CPUs or
+    # more sums its first half of the blocks on the calling thread and the
+    # second half on one pool thread (numpy releases the GIL in the block
+    # work), so at most two blocks, each holding its stacked X and the stage's
+    # copies of it, are in flight on any host. The terms are added in block
+    # order, so the sum has the same bits on any CPU count, and an error in
+    # the first half, raised first, precedes any in the second. Finite data
+    # too large for its powers overflows the moment, which is reported by
+    # name with the data's scale.
     blocks = list(trajectory_blocks(start, stop, dataset.T // L, _ROW_BUDGET))
-    terms = [None] * len(blocks)  # a block's term, or the exception its work raised
-    W = min(len(blocks), cpu_count(), 2)
 
-    def work(w):
+    def terms(part):
         # errstate is per thread, and a new thread starts from numpy's defaults
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(w, len(blocks), W):
-                a, b = blocks[i]
-                try:
-                    terms[i] = (b - a) / (stop - start) * stage(*build_stacked(dataset, L, sigma_u, a, b))
-                except Exception as exc:
-                    terms[i] = exc
-                    return
+            return [(b - a) / (stop - start) * stage(*build_stacked(dataset, L, sigma_u, a, b)) for a, b in part]
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, W)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    total = None
+    if len(blocks) > 1 and cpu_count() > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only multi-block passes pay for the import
+
+        half = (len(blocks) + 1) // 2
+        with ThreadPoolExecutor(1) as pool:
+            second = pool.submit(terms, blocks[half:])
+            parts = terms(blocks[:half]) + second.result()
+    else:
+        parts = terms(blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        for term in terms:  # a thread stops at its first error, so no term is None before an error
-            if isinstance(term, Exception):
-                raise term
-            total = term if total is None else total + term
+        total = sum(parts[1:], parts[0])
     if not np.isfinite(total).all():
         raise ValueError(f"{name} overflows float64: the outputs reach |y| = {np.abs(dataset.outputs).max():.3g} "
                          f"and the scaled inputs |u|/sigma_u = {np.abs(dataset.inputs).max() / sigma_u:.3g}; "
@@ -124,8 +114,9 @@ def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
     first moment of all rows (refine_first_moment). Each moment sums its
     blocks of at most _ROW_BUDGET rows, weighted by row share, so the stacked
     X of all trajectories never exists; the M3 blocks come after whitening.
-    A pass of several blocks computes them on two threads where the process
-    has two CPUs or more, so at most two blocks are in flight, and adds them
+    Where the process has two CPUs or more, a pass of several blocks sums
+    its first half of the blocks on the calling thread and the second half on
+    one pool thread, so at most two blocks are in flight, and adds the terms
     in block order, so the estimate's bits do not depend on the CPU count.
     """
     if K < 1:

@@ -38,16 +38,19 @@ def atomic_write_text(path, text) -> None:
 
     The file gets what open(path, "w") leaves: a symlink stays a link and its
     target takes the text, a rewritten file keeps its mode, and a new one gets
-    0666 less the umask.
+    0666 less the umask. An OSError from making the temp file names the target, as open's would.
     """
-    path = os.path.realpath(path)
+    target, path = path, os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path))
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(target)) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines([text] if isinstance(text, str) else text)

@@ -12,7 +12,8 @@ def set_cpus(monkeypatch, count):
     """Make util.cpu_count() read `count` CPUs in the affinity mask.
 
     util.fan_out then forks up to count - 1 workers, and each moment pass of
-    mlds_fit that has several blocks starts one thread when count is 2 or more.
+    mlds_fit that has several blocks sums its second half of the blocks on one
+    pool thread when count is 2 or more.
     """
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 

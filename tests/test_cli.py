@@ -36,11 +36,15 @@ def run_process(*argv):
 
 
 def test_importing_the_cli_loads_no_process_pool_module():
-    # every ldsmix process pays for its imports at start-up; the threads of the
-    # moment passes come from threading, which the CLI loads anyway, and not
-    # from concurrent.futures or multiprocessing, which would add to that cost
+    # every ldsmix process pays for its imports at start-up, so neither the
+    # CLI nor a fit whose moment passes are one block each (every fit at
+    # N <= 1e4, T=96, L=7) loads concurrent.futures or multiprocessing; only a
+    # multi-block pass imports the thread pool that sums its second half
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     code = ("import sys, ldsmix.cli; "
+            "from ldsmix.lds import generate_dataset, random_mixture; "
+            "from ldsmix.pipeline import mlds_fit; "
+            "mlds_fit(generate_dataset(random_mixture(2, 2, 1, 5, seed=0), 40, 30, seed=1), 5, 2, refine=True); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -109,6 +113,7 @@ SEED_MESSAGE = "expected non-negative integer"  # numpy's own, from the first ge
     ("sweep", ("--restarts", "0", "--methods", "baseline"), "n_restarts must be >= 1"),
     ("sweep", ("--iters", "0"), "n_iters must be >= 1"),
     ("sweep", ("--radius-min", "0.9", "--radius-max", "0.5"), RADIUS_MESSAGE),
+    ("fit", ("--sigma-u", "inf"), "sigma_u must be finite, got inf"),
 ])
 def test_bad_flag_value_fails_in_the_library(tmp_path, capsys, command, flags, message):
     # the CLI keeps no copy of these rules: the function that takes the value rejects it
@@ -126,9 +131,11 @@ def test_bad_flag_value_fails_in_the_library(tmp_path, capsys, command, flags, m
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_simulate_unwritable_path(tmp_path):
-    assert run("simulate", "--out", str(tmp_path / "no" / "such" / "dir" / "x"),
-               "--N", "4", "--T", "6") == 5
+def test_simulate_unwritable_path(tmp_path, capsys):
+    # the error names the file the user asked for, not the temp file beside it
+    prefix = str(tmp_path / "no" / "such" / "dir" / "x")
+    assert run("simulate", "--out", prefix, "--N", "4", "--T", "6") == 5
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{prefix}.mixture.txt'\n"
 
 
 def fit_workspace(tmp_path, N=80, T=28, seed=1):

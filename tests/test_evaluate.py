@@ -290,11 +290,20 @@ def test_run_sweep_rejects_duplicates(field, values):
     ("seeds", (3, -1), "seeds entries must be >= 0"),
     ("n_restarts", 0, "n_restarts must be >= 1"),
     ("n_iters", 0, "n_iters must be >= 1"),
+    ("K", 9, "exhaustive matching is limited to K <= 8, got K=9 for methods ('tensor',)"),
 ])
 def test_sweep_config_checks_itself(field, values, message):
     with pytest.raises(ValueError) as exc:
         tiny_config(**{field: values})
     assert str(exc.value) == message
+
+
+def test_only_matched_methods_limit_the_sweep_k():
+    # baseline_error compares each trajectory with its own label, so it matches no components
+    assert tiny_config(K=9, methods=("baseline",)).K == 9
+    with pytest.raises(ValueError) as exc:
+        tiny_config(K=9, methods=("baseline", "tensor_refine"))
+    assert str(exc.value) == "exhaustive matching is limited to K <= 8, got K=9 for methods ('tensor_refine',)"
 
 
 def test_sweep_config_is_frozen_and_keyword_only():

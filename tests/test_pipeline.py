@@ -129,6 +129,8 @@ def test_build_stacked_rejects_a_sigma_u_that_is_not_positive():
     for sigma_u in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match=f"^sigma_u must be positive, got {sigma_u!r}$"):
             build_stacked(ds, 3, sigma_u=sigma_u)
+    with pytest.raises(ValueError, match="^sigma_u must be finite, got inf$"):
+        build_stacked(ds, 3, sigma_u=float("inf"))
 
 
 def test_build_stacked_response_and_scaling():
@@ -273,30 +275,45 @@ def numbered_trajectories(N):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-def test_block_sum_deals_the_blocks_to_at_most_two_threads(monkeypatch, cpus):
-    # five one-trajectory blocks on W = min(5, cpus, 2) threads: thread w sums
-    # blocks w, w + W, ..., and the calling thread is thread 0
+def test_block_sum_sums_two_halves_on_two_threads(monkeypatch, cpus):
+    # five one-trajectory blocks: on 2 CPUs or more the calling thread sums
+    # blocks 0-2 and one other thread blocks 3-4, so two stages at most run at
+    # once, and that thread has ended when the sum returns; on 1 CPU the
+    # calling thread sums every block
     ds = numbered_trajectories(5)
     ran = {}  # block -> the thread that ran its stage
+    lock = threading.Lock()
+    running, most = 0, 0
 
     def stage(X, y):
+        nonlocal running, most
+        with lock:
+            running += 1
+            most = max(most, running)
         ran[int(y[0])] = threading.current_thread()
+        time.sleep(0.01)
+        with lock:
+            running -= 1
         return np.ones(1)
 
     monkeypatch.setattr(pipeline, "_ROW_BUDGET", 2)
     set_cpus(monkeypatch, cpus)
+    threads = threading.active_count()
     assert np.allclose(pipeline._block_sum("M2", stage, ds, 2, 1.0, 0, 5), 1.0, rtol=0, atol=1e-15)
-    W = min(5, cpus, 2)
-    assert ran[0] is threading.current_thread()
-    assert len(set(ran.values())) == W
-    assert all(ran[i] is ran[i % W] for i in range(5))
+    assert threading.active_count() == threads
+    caller = threading.current_thread()
+    assert all(ran[i] is caller for i in range(3))
+    if cpus == 1:
+        assert ran[3] is ran[4] is caller and most == 1
+    else:
+        assert ran[3] is ran[4] is not caller and most <= 2
 
 
 def test_block_sum_raises_the_first_error_in_block_order(monkeypatch):
     # five one-trajectory blocks; the stages of blocks 1 and 3 raise, block
-    # 1's after a pause, so on 3 CPUs block 3 (on the calling thread) fails
-    # first in time. Block 1's error is raised on any CPU count, and every
-    # started thread has ended
+    # 1's after a pause, so on 2 or 3 CPUs block 3 (the first of the pool
+    # thread's half) fails first in time. Block 1's error is raised on any CPU
+    # count, and every started thread has ended
     ds = numbered_trajectories(5)
 
     def stage(X, y):

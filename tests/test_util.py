@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from ldsmix import util
-from ldsmix.lds import NoiseConfig, generate_dataset, load_dataset, load_mixture, random_mixture, save_mixture
+from ldsmix.lds import (NoiseConfig, generate_dataset, load_dataset, load_mixture, random_mixture, save_dataset,
+                        save_mixture)
 from ldsmix.pipeline import load_estimate
 from ldsmix.tensor3 import robust_tpm, symmetrize
 from ldsmix.util import (atomic_write_text, child_generators, derive_seed, fmt, format_rows,
@@ -70,8 +71,14 @@ def test_atomic_write_keeps_a_rewritten_file_mode(tmp_path):
 
 
 def test_atomic_write_missing_directory(tmp_path):
-    with pytest.raises(OSError):
-        atomic_write_text(tmp_path / "no" / "dir" / "x.txt", "data")
+    # the error names the target, not the temp file (or save_dataset's scratch directory) beside it
+    target = tmp_path / "no" / "dir" / "x.txt"
+    data = generate_dataset(random_mixture(1, 1, 1, 2, seed=0), 2, 4, seed=1)
+    for write in (lambda: atomic_write_text(target, "data"), lambda: save_dataset(target, data)):
+        with pytest.raises(FileNotFoundError) as exc:
+            write()
+        assert str(exc.value) == f"[Errno 2] No such file or directory: '{target}'"
+    assert os.listdir(tmp_path) == []
 
 
 def test_atomic_write_through_a_symlink(tmp_path):
