@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 import warnings
+from tempfile import NamedTemporaryFile
 
 from .errors import DecompositionError, DegenerateMixtureError
 from .evaluate import (DEFAULT_METHODS, METHODS, SweepConfig, match_components, run_sweep, write_levels,
@@ -13,7 +14,7 @@ from .evaluate import (DEFAULT_METHODS, METHODS, SweepConfig, match_components, 
 from .lds import (NoiseConfig, generate_dataset, load_dataset, load_mixture, mixture_sigma_k,
                   random_mixture, save_dataset, save_mixture)
 from .pipeline import estimate_text, ho_kalman, load_estimate, mlds_fit
-from .util import atomic_write_text, format_rows
+from .util import atomic_write_text, format_rows, temp_beside
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -25,10 +26,7 @@ _EVAL_CSV_HEADER = "K,L,mean_error,mean_weight_error"
 
 
 def _int_list(text):
-    vals = tuple(int(tok) for tok in str(text).split(",") if tok.strip() != "")
-    if not vals:
-        raise ValueError("expected a comma-separated list of integers")
-    return vals
+    return tuple(int(tok) for tok in _str_list(text))
 
 
 def _str_list(text):
@@ -43,52 +41,44 @@ def _check(cond, message):
         raise ValueError(message)
 
 
-def _add_common(sub, flags):
-    if "K" in flags:
-        sub.add_argument("--K", type=int, default=3, help="number of mixture components")
-    if "n" in flags:
-        sub.add_argument("--n", type=int, default=3, help="state dimension of each component")
-    if "m" in flags:
-        sub.add_argument("--m", type=int, default=1, help="input dimension")
-    if "L" in flags:
-        sub.add_argument("--L", type=int, default=7, help="Markov horizon")
-    if "radius" in flags:
-        sub.add_argument("--radius-min", type=float, default=0.6)
-        sub.add_argument("--radius-max", type=float, default=0.9)
-    if "sigma_u" in flags:
-        sub.add_argument("--sigma-u", type=float, default=1.0, help="input standard deviation")
-    if "noise" in flags:
-        sub.add_argument("--sigma-w1", type=float, default=0.01, help="process noise standard deviation")
-        sub.add_argument("--sigma-w2", type=float, default=0.01, help="measurement noise standard deviation")
-    if "seed" in flags:
-        sub.add_argument("--seed", type=int, default=0)
-    if "tpm" in flags:
-        sub.add_argument("--restarts", type=int, default=None, help="power method restarts per round (default 20K)")
-        sub.add_argument("--iters", type=int, default=100, help="power method iterations")
-    sub.add_argument("--config", default=None, help="flat key=value file; explicit flags win")
-
-
 def _build_parser():
+    # the flag groups that several subcommands share; built per call, not at import
+    fit_opts = argparse.ArgumentParser(add_help=False)
+    fit_opts.add_argument("--K", type=int, default=3, help="number of mixture components")
+    fit_opts.add_argument("--L", type=int, default=7, help="Markov horizon")
+    fit_opts.add_argument("--sigma-u", type=float, default=1.0, help="input standard deviation")
+    fit_opts.add_argument("--seed", type=int, default=0)
+    fit_opts.add_argument("--config", default=None, help="flat key=value file; explicit flags win")
+    draw_opts = argparse.ArgumentParser(add_help=False)
+    draw_opts.add_argument("--n", type=int, default=3, help="state dimension of each component")
+    draw_opts.add_argument("--m", type=int, default=1, help="input dimension")
+    draw_opts.add_argument("--radius-min", type=float, default=0.6)
+    draw_opts.add_argument("--radius-max", type=float, default=0.9)
+    draw_opts.add_argument("--sigma-w1", type=float, default=0.01, help="process noise standard deviation")
+    draw_opts.add_argument("--sigma-w2", type=float, default=0.01, help="measurement noise standard deviation")
+    tpm_opts = argparse.ArgumentParser(add_help=False)
+    tpm_opts.add_argument("--restarts", type=int, default=None, help="power method restarts per round (default 20K)")
+    tpm_opts.add_argument("--iters", type=int, default=100, help="power method iterations")
+
     parser = argparse.ArgumentParser(prog="ldsmix", allow_abbrev=False,
                                      description="Mixtures of linear dynamical systems: "
                                                  "simulate, fit, eval, sweep.")
     subs = parser.add_subparsers(dest="command")
 
-    sim = subs.add_parser("simulate", allow_abbrev=False,
+    sim = subs.add_parser("simulate", allow_abbrev=False, parents=[fit_opts, draw_opts],
                           help="draw a random mixture and a trajectory dataset from it")
     sim.add_argument("--N", type=int, default=1000, help="number of trajectories")
     sim.add_argument("--T", type=int, default=96, help="trajectory length")
     sim.add_argument("--out", default=None, help="output prefix; writes <out>.mixture.txt and <out>.dataset.txt")
-    _add_common(sim, ("K", "n", "m", "L", "radius", "sigma_u", "noise", "seed"))
     sim.set_defaults(func=cmd_simulate)
 
-    fit = subs.add_parser("fit", allow_abbrev=False, help="fit a mixture estimate to a dataset file")
+    fit = subs.add_parser("fit", allow_abbrev=False, parents=[fit_opts, tpm_opts],
+                          help="fit a mixture estimate to a dataset file")
     fit.add_argument("--data", default=None, help="input dataset file")
     fit.add_argument("--out", default=None, help="output estimate file")
     fit.add_argument("--refine", action="store_true", help="refine weights against the first moment")
     fit.add_argument("--ho-kalman", type=int, default=None, metavar="ORDER",
                      help="append order-ORDER state-space realizations per component")
-    _add_common(fit, ("K", "L", "sigma_u", "seed", "tpm"))
     fit.set_defaults(func=cmd_fit)
 
     ev = subs.add_parser("eval", allow_abbrev=False, help="score an estimate file against a true mixture file")
@@ -99,33 +89,17 @@ def _build_parser():
     ev.add_argument("--config", default=None, help="flat key=value file; explicit flags win")
     ev.set_defaults(func=cmd_eval)
 
-    sw = subs.add_parser("sweep", allow_abbrev=False, help="run an N x T grid of trials and write CSV + summaries")
+    sw = subs.add_parser("sweep", allow_abbrev=False, parents=[fit_opts, draw_opts, tpm_opts],
+                         help="run an N x T grid of trials and write CSV + summaries")
     sw.add_argument("--N", type=_int_list, default=(100, 1000), help="comma-separated trajectory counts")
     sw.add_argument("--T", type=_int_list, default=(24, 96), help="comma-separated trajectory lengths")
     sw.add_argument("--num-seeds", type=int, default=5, help="number of trial seeds")
     sw.add_argument("--methods", type=_str_list, default=DEFAULT_METHODS,
                     help=f"comma-separated subset of {','.join(METHODS)}")
     sw.add_argument("--out", default=None, help="output prefix; writes <out>.csv, <out>_series.txt, <out>_levels.txt")
-    _add_common(sw, ("K", "n", "m", "L", "radius", "sigma_u", "noise", "seed", "tpm"))
     sw.set_defaults(func=cmd_sweep)
 
     return parser, subs.choices
-
-
-def _load_config(path):
-    cfg = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key in cfg:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            cfg[key] = val
-    return cfg
 
 
 def _config_bool(text):
@@ -135,19 +109,27 @@ def _config_bool(text):
     return word in ("1", "true", "yes", "on")
 
 
-def _apply_config(sub, cfg):
-    """Make a config dict the subcommand's defaults, so flags given on the command line win."""
+def _apply_config(sub, path):
+    """Make a key=value file's values the subcommand's defaults, so explicit flags win; the first bad line fails."""
     actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
     values = {}
-    for key, raw in cfg.items():
-        if key not in actions:
-            raise ValueError(f"unknown config key {key!r}")
-        action = actions[key]
-        convert = _config_bool if isinstance(action, argparse._StoreTrueAction) else action.type
-        try:
-            values[key] = raw if convert is None else convert(raw)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            if key not in actions:
+                raise ValueError(f"unknown config key {key!r}")
+            convert = _config_bool if isinstance(actions[key], argparse._StoreTrueAction) else actions[key].type
+            try:
+                values[key] = val if convert is None else convert(val)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
     sub.set_defaults(**values)
 
 
@@ -160,9 +142,10 @@ def cmd_simulate(args) -> int:
     noise = _noise(args)
     model = random_mixture(args.K, args.n, args.m, args.L,
                            (args.radius_min, args.radius_max), seed=args.seed)
-    data = generate_dataset(model, args.N, args.T, noise, seed=args.seed)
     mix_path = f"{args.out}.mixture.txt"
     data_path = f"{args.out}.dataset.txt"
+    temp_beside(mix_path, NamedTemporaryFile).close()  # an unwritable output fails before any work
+    data = generate_dataset(model, args.N, args.T, noise, seed=args.seed)
     save_mixture(mix_path, model)
     save_dataset(data_path, data)
     print(f"sigma_K(M2) at L={args.L}: {mixture_sigma_k(model, args.L):.6g}")
@@ -178,6 +161,7 @@ def cmd_fit(args) -> int:
         _check(args.ho_kalman >= 1, "--ho-kalman order must be >= 1")
         _check(args.L >= 2 * args.ho_kalman + 1,
                f"--ho-kalman order {args.ho_kalman} needs L >= {2 * args.ho_kalman + 1}")
+    temp_beside(args.out, NamedTemporaryFile).close()  # an unwritable output fails before any work
     data = load_dataset(args.data)
     est = mlds_fit(data, args.L, args.K, sigma_u=args.sigma_u, n_restarts=args.restarts,
                    n_iters=args.iters, seed=args.seed, refine=args.refine)
@@ -242,8 +226,9 @@ def cmd_sweep(args) -> int:
                       methods=tuple(args.methods), noise=_noise(args),
                       radius_range=(args.radius_min, args.radius_max),
                       n_restarts=args.restarts, n_iters=args.iters)
-    records = run_sweep(cfg)
     csv_path = f"{args.out}.csv"
+    temp_beside(csv_path, NamedTemporaryFile).close()  # an unwritable output fails before any work
+    records = run_sweep(cfg)
     series_path = f"{args.out}_series.txt"
     levels_path = f"{args.out}_levels.txt"
     write_records_csv(csv_path, records)
@@ -264,7 +249,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         if getattr(args, "config", None):
-            _apply_config(subparsers[args.command], _load_config(args.config))
+            _apply_config(subparsers[args.command], args.config)
             args = parser.parse_args(argv)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:

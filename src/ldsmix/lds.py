@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateMixtureError
 from .util import (atomic_write_text, child_generators, fan_out, fmt, format_rows, header_values, parse_rows,
-                   parse_weight, read_text)
+                   parse_weight, read_text, temp_beside)
 
 # trajectories whose draws generate_dataset holds in its scratch block at a time
 _DRAW_BLOCK = 64
@@ -329,7 +329,8 @@ def save_dataset(path, ds: TrajectoryDataset) -> None:
     util.fan_out splits the blocks into contiguous runs; each run's worker
     writes the text of its blocks to its own part file in a scratch directory
     beside the target, and the header and the parts are then joined, in file
-    order, through atomic_write_text. An OSError from making the scratch directory names the target.
+    order, through atomic_write_text. An error in making the scratch directory
+    names the target, as temp_beside's do.
     """
     labs = ds.labels.tolist() if ds.labels is not None else ["-"] * ds.N
     step = _block_trajectories(ds.T, ds.m)
@@ -347,11 +348,7 @@ def save_dataset(path, ds: TrajectoryDataset) -> None:
                 fh.writelines(block_text(lo))
         return part
 
-    try:
-        scratch_dir = tempfile.TemporaryDirectory(prefix=".tmp-", dir=os.path.dirname(os.path.realpath(path)))
-    except OSError as exc:  # named after the target, not the scratch directory
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    with scratch_dir as scratch:
+    with temp_beside(path, tempfile.TemporaryDirectory) as scratch:
         parts = fan_out(write_part, range(0, ds.N, step))
         head = f"mlds-dataset v1, N={ds.N}, T={ds.T}, m={ds.m}, labeled={int(ds.labels is not None)}\n"
         atomic_write_text(path, itertools.chain([head], *map(_file_text, parts)))

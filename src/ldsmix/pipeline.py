@@ -80,7 +80,7 @@ def _block_sum(name, stage, dataset, L, sigma_u, start, stop):
     # the first half, raised first, precedes any in the second. Finite data
     # too large for its powers overflows the moment, which is reported by
     # name with the data's scale.
-    blocks = list(trajectory_blocks(start, stop, dataset.T // L, _ROW_BUDGET))
+    blocks = list(trajectory_blocks(start, stop, len(stack_times(dataset.T, L)), _ROW_BUDGET))
 
     def terms(part):
         # errstate is per thread, and a new thread starts from numpy's defaults
@@ -151,12 +151,9 @@ def ols_markov(inputs, outputs, L: int) -> np.ndarray:
     if inputs.ndim < 2:
         raise ValueError(f"inputs must have shape (..., T, m), got {inputs.shape}")
     *lead, T, m = inputs.shape
-    if L < 1:
-        raise ValueError("L must be >= 1")
     if outputs.shape != inputs.shape[:-1]:
         raise ValueError("inputs and outputs must cover the same T steps")
-    if T < L:
-        raise InsufficientLengthError(f"trajectory length T={T} is shorter than the horizon L={L}")
+    stack_times(T, L)  # checks L, then T
     times = np.arange(L, T + 1)
     rows, dim = times.shape[0], L * m
     A = _lag_rows(inputs, L, times).reshape(-1, rows, dim)

@@ -7,6 +7,7 @@ per line, parse_rows reads such lines back, read_text opens a file and checks it
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
 import stat
@@ -38,30 +39,42 @@ def atomic_write_text(path, text) -> None:
 
     The file gets what open(path, "w") leaves: a symlink stays a link and its
     target takes the text, a rewritten file keeps its mode, and a new one gets
-    0666 less the umask. An OSError from making the temp file names the target, as open's would.
+    0666 less the umask. A target that is a directory, or an OSError from making the temp file, raises
+    an error that names the target, as open's would.
     """
-    target, path = path, os.path.realpath(path)
+    real = os.path.realpath(path)
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        mode = stat.S_IMODE(os.stat(real).st_mode)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path))
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(target)) from None
+    fd, tmp = temp_beside(path)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.chmod(tmp, mode)  # mkstemp made it 0600
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
+
+
+def temp_beside(path, make=tempfile.mkstemp):
+    """make(prefix=".tmp-", dir=d), d being the directory of the file that path, a symlink included, resolves to.
+
+    A path that is a directory raises IsADirectoryError, and an OSError from make is raised again; both
+    name path, as open's error would. make may be mkstemp, TemporaryDirectory or NamedTemporaryFile.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    try:
+        return make(prefix=".tmp-", dir=os.path.dirname(os.path.realpath(path)))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def cpu_count() -> int:
@@ -261,27 +274,6 @@ def _reseeded(bitgen, template, prefix, count, words):
             yield rng
 
 
-def parse_header(line: str, tag: str, keys: tuple[str, ...]) -> dict[str, int]:
-    """Parse a 'tag v1, k1=v1, k2=v2' header line with integer fields."""
-    parts = [p.strip() for p in line.split(",")]
-    if parts[0] != f"{tag} v1":
-        raise ValueError(f"line 1: expected a '{tag} v1' header, got {line!r}")
-    fields: dict[str, int] = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ValueError(f"line 1: malformed header field {part!r}, expected key=value")
-        key, val = part.split("=", 1)
-        if key in fields:
-            raise ValueError(f"line 1: duplicate header field {key!r}")
-        try:
-            fields[key] = int(val)
-        except ValueError:
-            raise ValueError(f"line 1: header field {key!r} must be an integer, got {val!r}") from None
-    if set(fields) != set(keys):
-        raise ValueError(f"line 1: header must carry exactly the fields {', '.join(keys)}")
-    return fields
-
-
 def parse_weight(line: str, lineno: int) -> float:
     """Parse a 'weight <p>' line; errors name the 1-based line number."""
     toks = line.split()
@@ -312,7 +304,7 @@ def parse_rows(lines, count: int, lineno: int) -> np.ndarray:
     return np.array(values, dtype=float).reshape(len(lines), count)
 
 
-def read_text(path, tag: str, keys: tuple[str, ...], flags: tuple[str, ...] = ()):
+def read_text(path, tag: str, keys: tuple[str, ...]):
     """Read a 'tag v1, k1=v1, ...' text file; returns (lines, header values in keys order).
 
     The header is checked by header_values.
@@ -321,12 +313,30 @@ def read_text(path, tag: str, keys: tuple[str, ...], flags: tuple[str, ...] = ()
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError("line 1: empty file")
-    return lines, header_values(lines[0], tag, keys, flags)
+    return lines, header_values(lines[0], tag, keys)
 
 
 def header_values(line: str, tag: str, keys: tuple[str, ...], flags: tuple[str, ...] = ()) -> tuple[int, ...]:
-    """The values of a header line in keys order; they must be >= 1, except those named in flags, which must be 0 or 1."""
-    head = parse_header(line, tag, keys)
+    """The integer fields of a 'tag v1, k1=v1, k2=v2' header line in keys order, each key given once.
+
+    They must be >= 1, except those named in flags, which must be 0 or 1.
+    """
+    parts = [p.strip() for p in line.split(",")]
+    if parts[0] != f"{tag} v1":
+        raise ValueError(f"line 1: expected a '{tag} v1' header, got {line!r}")
+    head: dict[str, int] = {}
+    for part in parts[1:]:
+        if "=" not in part:
+            raise ValueError(f"line 1: malformed header field {part!r}, expected key=value")
+        key, val = part.split("=", 1)
+        if key in head:
+            raise ValueError(f"line 1: duplicate header field {key!r}")
+        try:
+            head[key] = int(val)
+        except ValueError:
+            raise ValueError(f"line 1: header field {key!r} must be an integer, got {val!r}") from None
+    if set(head) != set(keys):
+        raise ValueError(f"line 1: header must carry exactly the fields {', '.join(keys)}")
     if any(head[k] not in (0, 1) if k in flags else head[k] < 1 for k in keys):
         raise ValueError("line 1: header values out of range")
     return tuple(head[k] for k in keys)

@@ -9,7 +9,7 @@ from ldsmix import mlr
 from ldsmix.lds import _DATASET_KEYS, TrajectoryDataset, _head_label
 from ldsmix.pipeline import build_stacked, estimate_text
 from ldsmix.tensor3 import symmetrize
-from ldsmix.util import parse_rows, read_text
+from ldsmix.util import header_values, parse_rows
 
 
 def outer3(v) -> np.ndarray:
@@ -231,7 +231,11 @@ def _load_whole(path) -> TrajectoryDataset:
     # no non-ASCII digits) and skips blank rows, so when it fails or returns another
     # shape the rows are parsed again one by one, which gives float()'s values or the
     # first bad line
-    lines, (N, T, m, labeled) = read_text(path, "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError("line 1: empty file")
+    N, T, m, labeled = header_values(lines[0], "mlds-dataset", _DATASET_KEYS, flags=("labeled",))
     expected = 1 + N * (T + 1)
     if len(lines) != expected:
         raise ValueError(f"expected {expected} lines for N={N}, T={T}, got {len(lines)}")

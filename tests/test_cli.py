@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldsmix import pipeline
+from ldsmix import cli, pipeline
 from ldsmix.cli import _build_parser, main
 from ldsmix.evaluate import METHODS, aggregate, load_records_csv, match_components
 from ldsmix.lds import (TrajectoryDataset, generate_dataset, load_mixture, random_mixture, save_dataset,
@@ -136,6 +137,30 @@ def test_simulate_unwritable_path(tmp_path, capsys):
     prefix = str(tmp_path / "no" / "such" / "dir" / "x")
     assert run("simulate", "--out", prefix, "--N", "4", "--T", "6") == 5
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{prefix}.mixture.txt'\n"
+
+
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # each command tries its first output's directory before it draws, loads or sweeps anything
+    data_path, _ = fit_workspace(tmp_path, N=10, T=14)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work started before the output was checked")
+
+    for name in ("generate_dataset", "load_dataset", "run_sweep"):
+        monkeypatch.setattr(cli, name, never)
+    missing = tmp_path / "no" / "dir"
+    for argv, target in ((("simulate", "--out", f"{missing}/x"), f"{missing}/x.mixture.txt"),
+                         (("fit", "--data", data_path, "--out", f"{missing}/e.txt"), f"{missing}/e.txt"),
+                         (("sweep", "--out", f"{missing}/sw"), f"{missing}/sw.csv")):
+        capsys.readouterr()
+        assert run(*argv) == 5
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    # an output that is a directory is named itself, not a temp file beside it
+    (tmp_path / "outdir").mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert run("fit", "--data", data_path, "--out", str(tmp_path / "outdir")) == 5
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path / 'outdir'}'\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def fit_workspace(tmp_path, N=80, T=28, seed=1):
@@ -610,6 +635,21 @@ def test_sweep_methods_help_names_every_method():
     assert action.help.split()[-1].split(",") == list(METHODS)
 
 
+def test_readme_cli_reference_matches_the_parser():
+    # the README's flag table and config key list name every flag and setting the parser has, and no other
+    readme = (SRC.parent / "README.md").read_text()
+    reference = readme[readme.index("## CLI reference"):readme.index("### Config files")]
+    table = {name: set(re.findall(r"--[\w-]+", flags))
+             for name, flags in re.findall(r"^\| `(\w+)` \| (.*) \|$", reference, re.M)}
+    config = readme[readme.index("### Config files"):readme.index("## File formats")]
+    keys = re.findall(r"`(\w+)`", re.search(r"dashes: (.*?)\. Each", config, re.S).group(1))
+    _, subs = _build_parser()
+    assert table == {name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+                     for name, sub in subs.items()}
+    dests = {action.dest for sub in subs.values() for action in sub._actions} - {"help", "config"}
+    assert sorted(keys) == sorted(dests)
+
+
 def test_config_file_merge(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\nK=2\nseed=3\nN=5\nT=9\n")
@@ -656,6 +696,20 @@ def test_config_file_rejects_duplicate_keys(tmp_path, capsys):
     cfg.write_text("K=2\n# comment\n K = 5\n")
     assert run("simulate", "--out", str(tmp_path / "a"), "--config", str(cfg)) == 2
     assert capsys.readouterr() == ("", f"error: {cfg}:3: duplicate key 'K'\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_file_reports_its_first_faulty_line(tmp_path, capsys):
+    # each line is checked as it is read: a fault on an earlier line wins over any later one
+    cfg = tmp_path / "run.cfg"
+    out = str(tmp_path / "sw")
+    for text, message in (("frobnicate=1\njust a line\n", "unknown config key 'frobnicate'"),
+                          ("K=x\nK=2\n", "config key 'K': invalid literal for int() with base 10: 'x'"),
+                          ("K=2\nK=2\nfrobnicate=1\n", f"{cfg}:2: duplicate key 'K'"),
+                          ("N=\n", "config key 'N': expected a comma-separated list")):
+        cfg.write_text(text)
+        assert run("sweep", "--out", out, "--config", str(cfg)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == [cfg]
 
 

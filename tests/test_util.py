@@ -15,7 +15,7 @@ from ldsmix.lds import (NoiseConfig, generate_dataset, load_dataset, load_mixtur
 from ldsmix.pipeline import load_estimate
 from ldsmix.tensor3 import robust_tpm, symmetrize
 from ldsmix.util import (atomic_write_text, child_generators, derive_seed, fmt, format_rows,
-                         parse_header, parse_rows, parse_weight, read_text)
+                         header_values, parse_rows, parse_weight, read_text)
 from forking import assert_no_children, count_forks, set_cpus
 
 
@@ -79,6 +79,20 @@ def test_atomic_write_missing_directory(tmp_path):
             write()
         assert str(exc.value) == f"[Errno 2] No such file or directory: '{target}'"
     assert os.listdir(tmp_path) == []
+
+
+def test_atomic_write_onto_a_directory_names_it(tmp_path):
+    # a directory is never replaced, and the error names it, not the temp file beside it
+    target = tmp_path / "out"
+    target.mkdir()
+    (tmp_path / "link").symlink_to(target)
+    data = generate_dataset(random_mixture(1, 1, 1, 2, seed=0), 2, 4, seed=1)
+    for path in (target, tmp_path / "link"):
+        for write in (lambda: atomic_write_text(path, "data"), lambda: save_dataset(path, data)):
+            with pytest.raises(IsADirectoryError) as exc:
+                write()
+            assert str(exc.value) == f"[Errno 21] Is a directory: '{path}'"
+    assert sorted(os.listdir(tmp_path)) == ["link", "out"] and os.listdir(target) == []
 
 
 def test_atomic_write_through_a_symlink(tmp_path):
@@ -237,19 +251,19 @@ def test_seeding_cost_does_not_grow_per_item(monkeypatch):
 
 
 def test_parse_header_round_trip():
-    got = parse_header("demo v1, K=2, L=7, m=1", "demo", ("K", "L", "m"))
-    assert got == {"K": 2, "L": 7, "m": 1}
+    got = header_values("demo v1, K=2, L=7, m=1", "demo", ("K", "L", "m"))
+    assert got == (2, 7, 1)
 
 
 def test_parse_header_rejections():
     with pytest.raises(ValueError, match="line 1"):
-        parse_header("other v1, K=2", "demo", ("K",))
+        header_values("other v1, K=2", "demo", ("K",))
     with pytest.raises(ValueError, match="integer"):
-        parse_header("demo v1, K=two", "demo", ("K",))
+        header_values("demo v1, K=two", "demo", ("K",))
     with pytest.raises(ValueError, match="exactly"):
-        parse_header("demo v1, K=2", "demo", ("K", "L"))
+        header_values("demo v1, K=2", "demo", ("K", "L"))
     with pytest.raises(ValueError, match="malformed"):
-        parse_header("demo v1, K", "demo", ("K",))
+        header_values("demo v1, K", "demo", ("K",))
 
 
 def test_repeated_header_field_is_rejected(tmp_path):
@@ -310,14 +324,17 @@ def test_format_rows_matches_per_value_fmt():
 
 def test_read_text_header_checks(tmp_path):
     path = tmp_path / "f.txt"
-    path.write_text("demo v1, K=2, b=0\n1 2\n")
-    lines, vals = read_text(path, "demo", ("K", "b"), flags=("b",))
-    assert lines == ["demo v1, K=2, b=0", "1 2"] and vals == (2, 0)
+    path.write_text("demo v1, K=2, b=1\n1 2\n")
+    lines, vals = read_text(path, "demo", ("K", "b"))
+    assert lines == ["demo v1, K=2, b=1", "1 2"] and vals == (2, 1)
+    assert header_values("demo v1, K=2, b=0", "demo", ("K", "b"), flags=("b",)) == (2, 0)
     for text, message in [("", "line 1: empty file"),
-                          ("demo v1, K=0, b=0\n", "line 1: header values out of range"),
-                          ("demo v1, K=1, b=2\n", "line 1: header values out of range"),
-                          ("other v1, K=1, b=0\n", "line 1: expected a 'demo v1' header")]:
+                          ("demo v1, K=0, b=1\n", "line 1: header values out of range"),
+                          ("demo v1, K=1, b=0\n", "line 1: header values out of range"),
+                          ("other v1, K=1, b=1\n", "line 1: expected a 'demo v1' header")]:
         path.write_text(text)
         with pytest.raises(ValueError) as exc:
-            read_text(path, "demo", ("K", "b"), flags=("b",))
+            read_text(path, "demo", ("K", "b"))
         assert str(exc.value).startswith(message)
+    with pytest.raises(ValueError, match="line 1: header values out of range"):
+        header_values("demo v1, K=1, b=2", "demo", ("K", "b"), flags=("b",))
