@@ -70,30 +70,37 @@ def whitening_from_m2(M2, K: int):
     evals, vecs = np.linalg.eigh((M2 + M2.T) / 2)
     sig = evals[-K:][::-1].copy()
     if not sig[-1] > _SIGMA_K_FLOOR:
-        # sum_k p_k b_k b_k' has no negative eigenvalue, so a negative one points at the covariates
-        hint = ("; the inputs do not look standard Gaussian at sigma_u, so the input scale "
-                "(--sigma-u) is the first thing to check") if sig[-1] < -_SIGMA_K_FLOOR else ""
-        raise DegenerateMixtureError(
-            f"whitening needs sigma_K > {_SIGMA_K_FLOOR:g}, got sigma_{K} = {sig[-1]:.6e}{hint}",
-            sigma=float(sig[-1]),
-        )
+        raise DegenerateMixtureError(f"whitening needs sigma_K > {_SIGMA_K_FLOOR:g}, got sigma_{K} = {sig[-1]:.6e}",
+                                     sigma=float(sig[-1]))
     U = vecs[:, -K:][:, ::-1]
     root = np.sqrt(sig)
     return U / root, U * root
 
 
-def estimate_whitened_m3(X, y, W) -> np.ndarray:
+def estimate_whitened_m3(X, y, W, blas: bool = False) -> np.ndarray:
     """Whitened third-moment estimate over the rows of X, a symmetric (K, K, K) array built directly in the whitened basis.
 
     Each sample contributes y^3 [(W'x)^(x3) - sym3(W'x, W'W)] / (6 n3), where
     sym3(z, G)_{abc} = z_a G_bc + z_b G_ac + z_c G_ab is the Gaussian
     correction pushed through the whitening map. Because the correction is
     linear in z, it collapses to three rank-1 terms of the weighted mean.
+    blas=True takes y^3 as y*y*y rather than through pow and sums the cube
+    sum_i w_i z_i^(x3) as K matrix products through one reused (n, K) buffer
+    rather than one einsum: about three times as fast, within 1e-13 normwise,
+    but not the same bits.
     """
     n = y.shape[0]
     Z = X @ W
-    w = (y ** 3) / (6.0 * n)
-    cube = np.einsum("i,ia,ib,ic->abc", w, Z, Z, Z, optimize=True)
+    if blas:
+        w = y * y * y / (6.0 * n)
+        K = Z.shape[1]
+        buf = np.empty_like(Z)
+        cube = np.empty((K, K, K))
+        for b in range(K):
+            cube[:, b, :] = np.multiply(Z, (w * Z[:, b])[:, None], out=buf).T @ Z
+    else:
+        w = (y ** 3) / (6.0 * n)
+        cube = np.einsum("i,ia,ib,ic->abc", w, Z, Z, Z, optimize=True)
     s = w @ Z
     G = W.T @ W
     G = (G + G.T) / 2

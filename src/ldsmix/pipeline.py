@@ -7,10 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import InsufficientLengthError
+from .errors import DegenerateMixtureError, InsufficientLengthError
 from .lds import StateSpace, TrajectoryDataset
-from .mlr import (MixtureEstimate, estimate_m2, estimate_whitened_m3, mlr_fit, refine_first_moment,
-                  whitening_from_m2)
+from .mlr import (_SIGMA_K_FLOOR, MixtureEstimate, estimate_m2, estimate_whitened_m3, mlr_fit,
+                  refine_first_moment, whitening_from_m2)
 from .util import cpu_count, fmt, format_rows, parse_rows, parse_weight, read_text
 
 # lag rows per block of the moment passes in mlds_fit: at N=1e4, T=96, L=7
@@ -68,26 +68,30 @@ def trajectory_blocks(start: int, stop: int, rows_per_trajectory: int, budget: i
 
 
 def _block_sum(name, stage, dataset, L, sigma_u, start, stop):
-    # the sum of share * stage(X, y) over the stacked (X, y) of trajectories
-    # [start, stop) in blocks of at most _ROW_BUDGET rows, share being the
-    # block's fraction of the range's rows; a lone block has share 1.0 and so
-    # gives stage(X, y) bit for bit. A pass of several blocks on two CPUs or
-    # more sums its first half of the blocks on the calling thread and the
-    # second half on one pool thread (numpy releases the GIL in the block
-    # work), so at most two blocks, each holding its stacked X and the stage's
-    # copies of it, are in flight on any host. The terms are added in block
-    # order, so the sum has the same bits on any CPU count, and an error in
-    # the first half, raised first, precedes any in the second. Finite data
-    # too large for its powers overflows the moment, which is reported by
-    # name with the data's scale.
+    # the sum of share * stage(X, y, blocked) over the stacked (X, y) of
+    # trajectories [start, stop) in blocks of at most _ROW_BUDGET rows, share
+    # being the block's fraction of the range's rows and blocked whether the
+    # pass has more than one block (a property of the input, so a stage may
+    # trade bits for speed only where the sum rounds differently anyway); a
+    # lone block has share 1.0 and so gives stage(X, y, False) bit for bit.
+    # A pass of several blocks on two CPUs or more sums its first half of the
+    # blocks on the calling thread and the second half on one pool thread
+    # (numpy releases the GIL in the block work), so at most two blocks, each
+    # holding its stacked X and the stage's copies of it, are in flight on any
+    # host. The terms are added in block order, so the sum has the same bits
+    # on any CPU count, and an error in the first half, raised first, precedes
+    # any in the second. Finite data too large for its powers overflows the
+    # moment, which is reported by name with the data's scale.
     blocks = list(trajectory_blocks(start, stop, len(stack_times(dataset.T, L)), _ROW_BUDGET))
+    blocked = len(blocks) > 1
 
     def terms(part):
         # errstate is per thread, and a new thread starts from numpy's defaults
         with np.errstate(over="ignore", invalid="ignore"):
-            return [(b - a) / (stop - start) * stage(*build_stacked(dataset, L, sigma_u, a, b)) for a, b in part]
+            return [(b - a) / (stop - start) * stage(*build_stacked(dataset, L, sigma_u, a, b), blocked)
+                    for a, b in part]
 
-    if len(blocks) > 1 and cpu_count() > 1:
+    if blocked and cpu_count() > 1:
         from concurrent.futures import ThreadPoolExecutor  # only multi-block passes pay for the import
 
         half = (len(blocks) + 1) // 2
@@ -103,6 +107,25 @@ def _block_sum(name, stage, dataset, L, sigma_u, start, stop):
                          f"and the scaled inputs |u|/sigma_u = {np.abs(dataset.inputs).max() / sigma_u:.3g}; "
                          "rescale the data")
     return total
+
+
+def _negative_sigma_hint(dataset, sigma_u, stop):
+    # sum_k p_k b_k b_k' has no negative eigenvalue, so a negative sigma_K of
+    # the sampled M2 of trajectories [0, stop) comes from inputs off their
+    # assumed scale or from a mixture too ill-conditioned for this sample. The
+    # scaled inputs tell them apart: standard Gaussian values have mean square
+    # 1 (standard error sqrt(2/n)) and mean fourth power 3 (sqrt(96/n)); both
+    # are summed over blocks of at most _ROW_BUDGET values
+    s2 = s4 = 0.0
+    for a, b in trajectory_blocks(0, stop, dataset.T * dataset.m, _ROW_BUDGET):
+        sq = np.square(dataset.inputs[a:b] / sigma_u)
+        s2, s4 = s2 + float(sq.sum()), s4 + float(np.vdot(sq, sq))
+    n = stop * dataset.T * dataset.m
+    if abs(s2 / n - 1.0) > 5.0 * np.sqrt(2.0 / n) or abs(s4 / n - 3.0) > 5.0 * np.sqrt(96.0 / n):
+        return ("the inputs do not look standard Gaussian at sigma_u, so the input scale (--sigma-u) "
+                "is the first thing to check")
+    return (f"the inputs look standard Gaussian at sigma_u (mean square {s2 / n:.5f}, mean fourth power "
+            f"{s4 / n:.4f}), so the mixture is ill-conditioned at this horizon for this N")
 
 
 def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
@@ -127,11 +150,18 @@ def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
     N, n2 = dataset.N, (dataset.N + 1) // 2
     if n2 == N:
         raise ValueError("both moment halves must be non-empty")
-    W, P = whitening_from_m2(_block_sum("M2", estimate_m2, dataset, L, sigma_u, 0, n2), K)
-    M3w = _block_sum("the whitened M3", lambda X, y: estimate_whitened_m3(X, y, W), dataset, L, sigma_u, n2, N)
+    M2 = _block_sum("M2", lambda X, y, _: estimate_m2(X, y), dataset, L, sigma_u, 0, n2)
+    try:
+        W, P = whitening_from_m2(M2, K)
+    except DegenerateMixtureError as exc:
+        if not exc.sigma < -_SIGMA_K_FLOOR:
+            raise
+        raise DegenerateMixtureError(f"{exc}; {_negative_sigma_hint(dataset, sigma_u, n2)}", exc.sigma) from None
+    M3w = _block_sum("the whitened M3", lambda X, y, blocked: estimate_whitened_m3(X, y, W, blocked),
+                     dataset, L, sigma_u, n2, N)
     est = mlr_fit(M3w, P, K, n_restarts=n_restarts, n_iters=n_iters, seed=seed)
     if refine:
-        m1 = _block_sum("the first moment", lambda X, y: X.T @ y / y.shape[0], dataset, L, sigma_u, 0, N)
+        m1 = _block_sum("the first moment", lambda X, y, _: X.T @ y / y.shape[0], dataset, L, sigma_u, 0, N)
         est = refine_first_moment(est, m1)
     return replace(est, coeffs=est.coeffs / sigma_u)
 

@@ -57,14 +57,22 @@ def _cubic(mat2, U):
 def _power_iterations(mat2, U, n_iters):
     # n_iters normalized updates of every row of U (R, d); a row whose update
     # is zero keeps its last nonzero iterate, is flagged as collapsed, and
-    # stays put because its update stays zero
+    # stays put because its update stays zero. Each row's update depends on
+    # that row alone, so once every row has the bits of its iterate two steps
+    # back (compared as integers, since -0.0 == 0.0 although their bits and
+    # those of later iterates differ), the rows cycle with period two and no
+    # flag can change; the parity of the remaining steps then picks the result
     U = U.copy()
+    older = old = None
     collapsed = np.zeros(U.shape[0], dtype=bool)
-    for _ in range(n_iters):
+    for step in range(n_iters):
         W = _apply(mat2, U)
         nrm = np.sqrt(_row_dots(W, W))
         collapsed |= nrm == 0.0
-        np.divide(W, nrm[:, None], out=U, where=~collapsed[:, None])
+        older, old = old, U
+        U = np.divide(W, nrm[:, None], out=old.copy(), where=~collapsed[:, None])
+        if older is not None and np.array_equal(U.view(np.uint64), older.view(np.uint64)):
+            return (U if (n_iters - step) % 2 else old), collapsed
     return U, collapsed
 
 

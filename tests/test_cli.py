@@ -52,6 +52,19 @@ def test_importing_the_cli_loads_no_process_pool_module():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_the_cli_alone_loads_no_random_or_pool_module():
+    # every ldsmix process, the benchmark's set-up included, pays for the
+    # import of ldsmix.cli; numpy.random is only needed once a command draws,
+    # and the thread and process pools only once a pass has several blocks
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ldsmix.cli; "
+            "print(sorted(m for m in sys.modules if m == 'numpy.random' or m.startswith('numpy.random.') "
+            "or m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_no_command_prints_help(capsys):
     assert run() == 2
     assert "simulate" in capsys.readouterr().out
@@ -320,6 +333,24 @@ def test_fit_wrong_input_scale_names_sigma_u(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: whitening needs sigma_K > 1e-10, got sigma_3 = -")
     assert "do not look standard Gaussian at sigma_u" in err and "(--sigma-u)" in err
+    assert not out.exists()
+
+
+def test_fit_ill_conditioned_mixture_names_the_conditioning(tmp_path, monkeypatch, capsys):
+    # `simulate --K 3 --n 3 --m 1 --L 7 --N 10000 --T 96 --seed 508` draws a
+    # mixture whose true sigma_K is 0.0066; the sampled M2 of the first 5000
+    # trajectories has sigma_3 = -1.77e-2, but the inputs are standard
+    # Gaussian at sigma_u = 1 (mean square z = -1.59), so the message names
+    # the conditioning, not the input scale. The dataset is drawn here rather
+    # than written and read back as text
+    data = generate_dataset(random_mixture(3, 3, 1, 7, (0.6, 0.9), seed=508), 10_000, 96, seed=508)
+    monkeypatch.setattr(cli, "load_dataset", lambda path: data)
+    out = tmp_path / "e.txt"
+    assert run("fit", "--data", str(tmp_path / "d.txt"), "--out", str(out), "--seed", "508", "--refine") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: whitening needs sigma_K > 1e-10, got sigma_3 = -1.772980e-02; "
+                          "the inputs look standard Gaussian at sigma_u (mean square 0.99676, ")
+    assert "so the mixture is ill-conditioned at this horizon for this N" in err and "--sigma-u" not in err
     assert not out.exists()
 
 

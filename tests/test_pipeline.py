@@ -268,6 +268,37 @@ def test_blocked_moments_and_fit_have_the_same_bits_on_any_cpu_count(monkeypatch
         assert np.array_equal(ests[cpus].coeffs, ests[1].coeffs)
 
 
+def test_multi_block_m3_passes_sum_the_cube_with_matrix_products(monkeypatch):
+    # a one-block M3 pass sums its cube with the einsum; a pass of several
+    # blocks never calls it, and each of its blocked terms is within 1e-13
+    # normwise of the einsum's term on the same rows
+    ds = fit_case(301)
+    calls, subscripts = [], []
+    m3, einsum = pipeline.estimate_whitened_m3, np.einsum
+
+    def record(X, y, W, blas=False):
+        calls.append((X, y, W, blas))
+        return m3(X, y, W, blas)
+
+    def spy(spec, *operands, **kw):
+        subscripts.append(spec)
+        return einsum(spec, *operands, **kw)
+
+    monkeypatch.setattr(pipeline, "estimate_whitened_m3", record)
+    monkeypatch.setattr(np, "einsum", spy)
+    mlds_fit(ds, 7, 3, seed=2)
+    assert "i,ia,ib,ic->abc" in subscripts and [blas for *_, blas in calls] == [False]
+    calls.clear()
+    subscripts.clear()
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", block_budget(7, 96 // 7))
+    mlds_fit(ds, 7, 3, seed=2)
+    assert "i,ia,ib,ic->abc" not in subscripts
+    assert len(calls) > 1 and all(blas for *_, blas in calls)
+    for X, y, W, _ in calls:
+        want = m3(X, y, W)
+        assert np.linalg.norm(m3(X, y, W, True) - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def numbered_trajectories(N):
     """N trajectories of T=4 whose responses are all the trajectory's index: at L=2, S = 2 rows each."""
     inputs = np.random.default_rng(0).normal(size=(N, 4, 1))
@@ -285,7 +316,7 @@ def test_block_sum_sums_two_halves_on_two_threads(monkeypatch, cpus):
     lock = threading.Lock()
     running, most = 0, 0
 
-    def stage(X, y):
+    def stage(X, y, blocked):
         nonlocal running, most
         with lock:
             running += 1
@@ -316,7 +347,7 @@ def test_block_sum_raises_the_first_error_in_block_order(monkeypatch):
     # count, and every started thread has ended
     ds = numbered_trajectories(5)
 
-    def stage(X, y):
+    def stage(X, y, blocked):
         block = int(y[0])
         if block == 1:
             time.sleep(0.05)
@@ -447,7 +478,11 @@ def test_mlds_fit_blocks_stay_within_1e_12(monkeypatch):
 
 def test_mlds_fit_never_holds_the_stacked_x(monkeypatch):
     # with 4096-row blocks the fit's allocations peak well below the stacked X
-    # of all trajectories, which a return to one X would exceed
+    # of all trajectories, which a return to one X would exceed. The first
+    # multi-block pass of a process imports the thread pool, whose module
+    # objects are no block temporary, so it is imported before tracing starts
+    import concurrent.futures.thread  # noqa: F401
+
     monkeypatch.setattr(pipeline, "_ROW_BUDGET", 4096)
     N, T, L = 4000, 96, 7
     ds = fit_case(N, T)

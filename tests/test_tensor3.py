@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ldsmix import tensor3
 from ldsmix.errors import DecompositionError
 from ldsmix.tensor3 import robust_tpm, symmetrize
 from ldsmix.util import derive_seed
@@ -335,6 +336,36 @@ def test_robust_tpm_matches_restart_loop():
         restarts = None if trial % 5 == 0 else int(rng.integers(1, 30))
         for seed in (trial, derive_seed(trial, K)):  # the second is above 2**32: two entropy words
             assert_same_bits_as_loop(t, K, n_restarts=restarts, n_iters=40, seed=seed)
+
+
+@pytest.mark.parametrize("orthogonal", [True, False])
+def test_robust_tpm_stops_at_a_two_cycle_with_the_loops_bits(monkeypatch, orthogonal):
+    # a power-iteration call returns once every row repeats its iterate of two
+    # steps back; on the orthogonal tensor that happens within 12 steps with an
+    # odd and an even number of steps left, in the restarts and in the polish,
+    # and every step count gives the restart loop's bits. Each step is one
+    # _apply call, and so is each round's T(u, u, u) on the restarts and on the
+    # polished vector, so without the stop every round makes n_iters + 1
+    # one-row calls
+    rng = np.random.default_rng(67)
+    if orthogonal:
+        V = orthonormal(rng, 4, 3)
+        t = symmetrize(sum(p * outer3(V[:, k]) for k, p in enumerate((0.5, 0.3, 0.2))))
+    else:
+        t = random_sym(rng, 4)
+    for n_iters in range(1, 13):
+        assert_same_bits_as_loop(t, 3, n_iters=n_iters, seed=3)
+    if orthogonal:
+        rows = []
+        apply = tensor3._apply
+
+        def spy(mat2, U):
+            rows.append(U.shape[0])
+            return apply(mat2, U)
+
+        monkeypatch.setattr(tensor3, "_apply", spy)
+        robust_tpm(t, 3, n_iters=12, seed=3)
+        assert rows.count(1) < 3 * (12 + 1)
 
 
 def collapsed_restarts(t, n_restarts, seed=0):
