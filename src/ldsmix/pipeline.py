@@ -13,9 +13,11 @@ from .mlr import (_SIGMA_K_FLOOR, MixtureEstimate, estimate_m2, estimate_whitene
                   refine_first_moment, whitening_from_m2)
 from .util import cpu_count, fmt, format_rows, parse_rows, parse_weight, read_text
 
-# lag rows per block of the moment passes in mlds_fit: at N=1e4, T=96, L=7
-# every pass, the refine pass over all 130 000 rows included, is one block
+# a moment pass of mlds_fit of at most _ROW_BUDGET lag rows is one block (every
+# pass at N=1e4, T=96, L=7); a longer one sums blocks of _CACHE_ROWS rows, whose
+# X (0.9 MB at L*m=7) and the stage's copies of it fit in a 2 MB L2 cache
 _ROW_BUDGET = 1 << 17
+_CACHE_ROWS = 1 << 14
 
 
 def stack_times(T: int, L: int) -> np.ndarray:
@@ -60,7 +62,8 @@ def trajectory_blocks(start: int, stop: int, rows_per_trajectory: int, budget: i
 
     Each range holds max(1, budget // rows_per_trajectory) trajectories (the
     last one may hold fewer), so it has at most budget rows unless a single
-    trajectory exceeds the budget.
+    trajectory exceeds the budget. mlds_fit's passes are one range under
+    _ROW_BUDGET or ranges under min(_ROW_BUDGET, _CACHE_ROWS).
     """
     step = max(1, budget // max(1, rows_per_trajectory))
     for a in range(start, stop, step):
@@ -69,11 +72,12 @@ def trajectory_blocks(start: int, stop: int, rows_per_trajectory: int, budget: i
 
 def _block_sum(name, stage, dataset, L, sigma_u, start, stop):
     # the sum of share * stage(X, y, blocked) over the stacked (X, y) of
-    # trajectories [start, stop) in blocks of at most _ROW_BUDGET rows, share
-    # being the block's fraction of the range's rows and blocked whether the
-    # pass has more than one block (a property of the input, so a stage may
-    # trade bits for speed only where the sum rounds differently anyway); a
-    # lone block has share 1.0 and so gives stage(X, y, False) bit for bit.
+    # trajectories [start, stop), share being the block's fraction of the
+    # range's rows and blocked whether the pass has more than _ROW_BUDGET rows
+    # (a property of the input, so a stage may trade bits for speed only where
+    # the sum rounds differently anyway). Such a pass is cut into blocks of at
+    # most min(_ROW_BUDGET, _CACHE_ROWS) rows; any other is one block, whose
+    # share 1.0 gives stage(X, y, False) bit for bit.
     # A pass of several blocks on two CPUs or more sums its first half of the
     # blocks on the calling thread and the second half on one pool thread
     # (numpy releases the GIL in the block work), so at most two blocks, each
@@ -82,8 +86,10 @@ def _block_sum(name, stage, dataset, L, sigma_u, start, stop):
     # on any CPU count, and an error in the first half, raised first, precedes
     # any in the second. Finite data too large for its powers overflows the
     # moment, which is reported by name with the data's scale.
-    blocks = list(trajectory_blocks(start, stop, len(stack_times(dataset.T, L)), _ROW_BUDGET))
-    blocked = len(blocks) > 1
+    S = len(stack_times(dataset.T, L))
+    blocks = list(trajectory_blocks(start, stop, S, _ROW_BUDGET))
+    if blocked := len(blocks) > 1:
+        blocks = list(trajectory_blocks(start, stop, S, min(_ROW_BUDGET, _CACHE_ROWS)))
 
     def terms(part):
         # errstate is per thread, and a new thread starts from numpy's defaults
@@ -134,9 +140,10 @@ def mlds_fit(dataset: TrajectoryDataset, L: int, K: int, sigma_u: float = 1.0,
 
     The rows of the first ceil(N/2) trajectories feed M2 and the rest the
     whitened M3. With refine=True the weights are then re-solved against the
-    first moment of all rows (refine_first_moment). Each moment sums its
-    blocks of at most _ROW_BUDGET rows, weighted by row share, so the stacked
-    X of all trajectories never exists; the M3 blocks come after whitening.
+    first moment of all rows (refine_first_moment). A moment over at most
+    _ROW_BUDGET rows is one block; a longer one sums its L2-sized blocks of at
+    most _CACHE_ROWS rows, weighted by row share, so the stacked X of all
+    trajectories never exists. The M3 blocks come after whitening.
     Where the process has two CPUs or more, a pass of several blocks sums
     its first half of the blocks on the calling thread and the second half on
     one pool thread, so at most two blocks are in flight, and adds the terms

@@ -305,6 +305,41 @@ def numbered_trajectories(N):
     return TrajectoryDataset(inputs, np.repeat(np.arange(float(N))[:, None], 4, axis=1))
 
 
+@pytest.mark.parametrize("budget, cache, N, per_block", [
+    (10, 4, 5, None), (10, 4, 6, 2), (10, 4, 11, 2), (6, 100, 7, 3), (10, 1, 6, 1), (10, 5, 6, 2)])
+def test_block_sum_cuts_a_pass_over_the_row_budget_into_cache_blocks(monkeypatch, budget, cache, N, per_block):
+    # S = 2 rows per trajectory. A pass of at most _ROW_BUDGET rows is one
+    # range whose stage gets blocked=False; a longer one is cut into ranges of
+    # max(1, min(_ROW_BUDGET, _CACHE_ROWS) // S) trajectories, each stage
+    # getting blocked=True
+    ds = numbered_trajectories(N)
+    ranges, flags = [], []
+    build = pipeline.build_stacked
+
+    def record(dataset, L, sigma_u, start, stop):
+        ranges.append((start, stop))
+        return build(dataset, L, sigma_u, start, stop)
+
+    def stage(X, y, blocked):
+        flags.append(blocked)
+        return np.ones(1)
+
+    monkeypatch.setattr(pipeline, "build_stacked", record)
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", budget)
+    monkeypatch.setattr(pipeline, "_CACHE_ROWS", cache)
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        ranges.clear()
+        flags.clear()
+        pipeline._block_sum("M2", stage, ds, 2, 1.0, 0, N)
+        if per_block is None:
+            assert ranges == [(0, N)] and flags == [False]
+        else:
+            assert max(1, min(budget, cache) // 2) == per_block
+            assert sorted(ranges) == [(a, min(a + per_block, N)) for a in range(0, N, per_block)]
+            assert len(flags) == len(ranges) > 1 and all(flags)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 def test_block_sum_sums_two_halves_on_two_threads(monkeypatch, cpus):
     # five one-trajectory blocks: on 2 CPUs or more the calling thread sums
@@ -465,15 +500,19 @@ def test_refine_blocks_weight_the_first_moment(monkeypatch):
 
 
 def test_mlds_fit_blocks_stay_within_1e_12(monkeypatch):
-    # the fit itself, with 7 trajectories per block, at N=2e4 where the tensor
-    # power method is stable: on these mixtures at N <= 1e4 a 1e-14 change of
-    # the moments can move the winning restart, and with it the whole estimate
+    # the fit itself, at N=2e4 where the tensor power method is stable: on
+    # these mixtures at N <= 1e4 a 1e-14 change of the moments can move the
+    # winning restart, and with it the whole estimate. At the default
+    # constants the two halves (130 000 rows each) are one block and the
+    # refine pass (260 000 rows) is cut into cache blocks; then every pass
+    # has 7 trajectories per block
     ds = fit_case(20_000)
     ref = mlds_fit_one_array(ds, 7, 3, seed=2, refine=True)
-    monkeypatch.setattr(pipeline, "_ROW_BUDGET", block_budget(7, 96 // 7))
-    est = mlds_fit(ds, 7, 3, seed=2, refine=True)
-    for got, want in ((est.weights, ref.weights), (est.coeffs, ref.coeffs)):
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for budget in (pipeline._ROW_BUDGET, block_budget(7, 96 // 7)):
+        monkeypatch.setattr(pipeline, "_ROW_BUDGET", budget)
+        est = mlds_fit(ds, 7, 3, seed=2, refine=True)
+        for got, want in ((est.weights, ref.weights), (est.coeffs, ref.coeffs)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_mlds_fit_never_holds_the_stacked_x(monkeypatch):
@@ -503,6 +542,26 @@ def test_mlds_fit_never_holds_the_stacked_x_on_many_cpus(monkeypatch, cpus):
     # bound holds whatever the host's CPU count
     set_cpus(monkeypatch, cpus)
     test_mlds_fit_never_holds_the_stacked_x(monkeypatch)
+
+
+def test_long_passes_hold_two_cache_blocks_at_the_default_constants(monkeypatch):
+    # at N=22 000, T=96 each pass has more than _ROW_BUDGET rows (143 000 per
+    # half), so each is summed in blocks of at most _CACHE_ROWS rows, two at a
+    # time on 2 CPUs. The fit's allocations peak at 0.27 of the 16 MB stacked
+    # X (0.14 on 1 CPU); blocks of _ROW_BUDGET rows peak at 1.05 of it
+    import concurrent.futures.thread  # noqa: F401
+
+    set_cpus(monkeypatch, 2)
+    N, T, L = 22_000, 96, 7
+    ds = fit_case(N, T)
+    full_nbytes = N * (T // L) * L * ds.m * 8
+    tracemalloc.start()
+    try:
+        mlds_fit(ds, L, 3, seed=2, refine=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.35 * full_nbytes
 
 
 def test_mlds_fit_fir_single_component():
