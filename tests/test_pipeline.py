@@ -515,24 +515,30 @@ def test_mlds_fit_blocks_stay_within_1e_12(monkeypatch):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_mlds_fit_never_holds_the_stacked_x(monkeypatch):
-    # with 4096-row blocks the fit's allocations peak well below the stacked X
-    # of all trajectories, which a return to one X would exceed. The first
-    # multi-block pass of a process imports the thread pool, whose module
-    # objects are no block temporary, so it is imported before tracing starts
+def traced_peak_share(N, T=96, L=7):
+    """The traced allocation peak of a refined fit, as a share of the stacked X of all N trajectories.
+
+    The first multi-block pass of a process imports the thread pool, whose
+    module objects are no block temporary, so it is imported before tracing
+    starts.
+    """
     import concurrent.futures.thread  # noqa: F401
 
-    monkeypatch.setattr(pipeline, "_ROW_BUDGET", 4096)
-    N, T, L = 4000, 96, 7
     ds = fit_case(N, T)
-    full_nbytes = N * (T // L) * L * ds.m * 8
     tracemalloc.start()
     try:
         mlds_fit(ds, L, 3, seed=2, refine=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < full_nbytes / 2
+    return peak / (N * (T // L) * L * ds.m * 8)
+
+
+def test_mlds_fit_never_holds_the_stacked_x(monkeypatch):
+    # with 4096-row blocks the fit's allocations peak well below the stacked X
+    # of all trajectories, which a return to one X would exceed
+    monkeypatch.setattr(pipeline, "_ROW_BUDGET", 4096)
+    assert traced_peak_share(4000) < 0.5
 
 
 @pytest.mark.parametrize("cpus", [3, 8])
@@ -549,19 +555,8 @@ def test_long_passes_hold_two_cache_blocks_at_the_default_constants(monkeypatch)
     # half), so each is summed in blocks of at most _CACHE_ROWS rows, two at a
     # time on 2 CPUs. The fit's allocations peak at 0.27 of the 16 MB stacked
     # X (0.14 on 1 CPU); blocks of _ROW_BUDGET rows peak at 1.05 of it
-    import concurrent.futures.thread  # noqa: F401
-
     set_cpus(monkeypatch, 2)
-    N, T, L = 22_000, 96, 7
-    ds = fit_case(N, T)
-    full_nbytes = N * (T // L) * L * ds.m * 8
-    tracemalloc.start()
-    try:
-        mlds_fit(ds, L, 3, seed=2, refine=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.35 * full_nbytes
+    assert traced_peak_share(22_000) < 0.35
 
 
 def test_mlds_fit_fir_single_component():
