@@ -51,19 +51,19 @@ def match_components(est: MixtureEstimate, truth: MixtureModel, L: int) -> Match
     G = truth.markov_matrix(L)
     if est.dim != G.shape[1]:
         raise ValueError(f"coefficient length {est.dim} does not match L*m = {G.shape[1]}")
+    perms = np.array(list(itertools.permutations(range(K))))  # in lexicographic order
+    cost = np.zeros(len(perms))
     with np.errstate(over="ignore"):  # an overflowed cost is inf and reported below
         D = np.linalg.norm(est.coeffs[:, None, :] - G[None, :, :], axis=2)
-    best = None
-    best_cost = math.inf
-    for perm in itertools.permutations(range(K)):
-        cost = sum(D[perm[k], k] for k in range(K))
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    if best is None:
+        for k in range(K):  # in k order, as summing each permutation's terms adds them
+            cost += D[perms[:, k], k]
+    i = int(np.argmin(np.where(np.isnan(cost), np.inf, cost)))
+    if not np.isfinite(cost[i]):
         raise ValueError("no assignment of estimated to true components has a finite cost")
-    errs = np.array([D[best[k], k] for k in range(K)])
-    werrs = np.abs(est.weights[list(best)] - truth.weights)
-    return MatchResult(best, errs, werrs, float(errs.mean()), float(werrs.mean()))
+    best = perms[i]
+    errs = D[best, np.arange(K)]
+    werrs = np.abs(est.weights[best] - truth.weights)
+    return MatchResult(tuple(best.tolist()), errs, werrs, float(errs.mean()), float(werrs.mean()))
 
 
 def baseline_error(dataset: TrajectoryDataset, truth: MixtureModel, L: int) -> float:

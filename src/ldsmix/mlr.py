@@ -103,7 +103,6 @@ def estimate_whitened_m3(X, y, W, blas: bool = False) -> np.ndarray:
         cube = np.einsum("i,ia,ib,ic->abc", w, Z, Z, Z, optimize=True)
     s = w @ Z
     G = W.T @ W
-    G = (G + G.T) / 2
     corr = (
         np.einsum("a,bc->abc", s, G)
         + np.einsum("b,ac->abc", s, G)

@@ -195,24 +195,25 @@ def ols_markov(inputs, outputs, L: int) -> np.ndarray:
     rows, dim = times.shape[0], L * m
     A = _lag_rows(inputs, L, times).reshape(-1, rows, dim)
     b = outputs[..., times - 1].reshape(-1, rows, 1)
+    eps = np.finfo(float).eps
     if rows < dim:
         _warnings.warn("ols_markov: fewer rows than unknowns; returning the minimum-norm solution",
                        RuntimeWarning, stacklevel=2)
         g = np.empty((A.shape[0], dim, 1))
-        deficient = np.arange(A.shape[0])
+        deficient = np.ones(A.shape[0], dtype=bool)
     else:
         Q, R = np.linalg.qr(A)
         diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
         # lstsq's rank cutoff eps * max(rows, dim) * s_max, read on R's diagonal
-        cutoff = np.finfo(float).eps * rows * diag.max(axis=-1)
-        deficient = np.flatnonzero((diag <= cutoff[:, None]).any(axis=-1))
-        if deficient.size:
-            _warnings.warn(f"ols_markov: {deficient.size} of {A.shape[0]} trajectories have rank-deficient "
+        cutoff = eps * rows * diag.max(axis=-1)
+        deficient = (diag <= cutoff[:, None]).any(axis=-1)
+        if deficient.any():
+            _warnings.warn(f"ols_markov: {deficient.sum()} of {A.shape[0]} trajectories have rank-deficient "
                            "lag rows; returning the minimum-norm solution for them", RuntimeWarning, stacklevel=2)
-            R[deficient] = np.eye(dim)  # solved by lstsq below
+            R[deficient] = np.eye(dim)  # solved by pinv below
         g = np.linalg.solve(R, Q.transpose(0, 2, 1) @ b)
-    for i in deficient:
-        g[i], *_ = np.linalg.lstsq(A[i], b[i], rcond=None)
+    if deficient.any():  # lstsq's minimum-norm solution, with lstsq's cutoff
+        g[deficient] = np.linalg.pinv(A[deficient], rcond=eps * max(rows, dim)) @ b[deficient]
     return g.reshape(*lead, L, m)
 
 

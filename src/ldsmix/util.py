@@ -183,56 +183,46 @@ _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _SEED_BLOCK = 4096
 
 
-def _hash_consts(init, mult, n) -> np.ndarray:
-    # the n + 1 multipliers init * mult**k mod 2**32 that successive hashes use, as a column
-    consts = [init]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
 def _seed_words(prefix, first, count) -> np.ndarray:
-    # generate_state(4, uint64) of SeedSequence(prefix + (key,)) for the count keys from first,
-    # as a (count, 4) uint64 array. Row w of entropy is entropy word w of every
-    # key. Each step below hashes several words at once with the constants that
-    # SeedSequence's one-word-at-a-time loop would use; no word hashed in a step is changed
-    # by that step, so the order within a step does not matter.
-    words = []
+    # generate_state(4, uint64) of SeedSequence(prefix + (key,)) for the count keys from first, as a
+    # (count, 4) uint64 array: mix_entropy and generate_state of numpy/random/bit_generator.pyx step
+    # for step, each step on one uint32 word of every key at once
+    entropy = []
     for part in prefix:
         part = int(part)
         while True:
-            words.append(part & _MASK32)
+            entropy.append(np.array([part & _MASK32], dtype=np.uint32))
             part >>= 32
             if not part:
                 break
-    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), count), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(first, first + count, dtype=np.uint32)
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
-    used = 0
+    entropy.append(np.arange(first, first + count, dtype=np.uint32))
+    entropy += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    hash_const = _INIT_A
 
-    def hashmix(values, n):
-        # n successive hashes; values broadcasts against an (n, 1) column
-        nonlocal used
-        values = (values ^ consts[used:used + n]) * consts[used + 1:used + n + 1]
-        used += n
-        return values ^ (values >> 16)
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
 
     def mix(x, y):
-        out = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return out ^ (out >> 16)
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
 
-    pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], len(dst)))
-    for src in range(_POOL_SIZE, len(entropy)):
-        pool = mix(pool, hashmix(entropy[src], _POOL_SIZE))
-    consts = _hash_consts(_INIT_B, _MULT_B, 8)
-    state = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ consts[:8]) * consts[1:]
-    state ^= state >> 16
+    mixer = [hashmix(value) for value in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
+    for i_src in range(_POOL_SIZE, len(entropy)):
+        for i_dst in range(_POOL_SIZE):
+            mixer[i_dst] = mix(mixer[i_dst], hashmix(entropy[i_src]))
+    # generate_state's loop is the same hash from INIT_B with MULT_B, over the pool twice
+    hash_const = _INIT_B
+    state = np.stack([hashmix(mixer[i_dst % _POOL_SIZE], _MULT_B) for i_dst in range(2 * _POOL_SIZE)], axis=1)
     # the uint64 words are little-endian pairs of the uint32 words
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+    return state.astype("<u4").view("<u8")
 
 
 def _pcg64_state(s_hi, s_lo, q_hi, q_lo) -> dict:

@@ -737,6 +737,22 @@ def test_ols_markov_batch_zero_input_trajectory():
     assert_matches_lstsq(g, inputs, outputs, L)
 
 
+def test_ols_markov_batch_mixes_full_rank_and_rank_deficient():
+    # more rows than unknowns, but trajectories 1 and 4 feed one signal to both inputs: rank L of L*m
+    # columns, with a non-zero minimum-norm solution that splits each lag evenly between the inputs
+    L, m, T = 4, 2, 40
+    rng = np.random.default_rng(33)
+    inputs = rng.normal(size=(6, T, m))
+    inputs[[1, 4], :, 1] = inputs[[1, 4], :, 0]
+    outputs = rng.normal(size=(6, T))
+    with pytest.warns(RuntimeWarning, match="2 of 6 trajectories") as record:
+        g = ols_markov(inputs, outputs, L)
+    assert len(record) == 1
+    assert (np.abs(g[[1, 4]]) > 0).all()
+    assert np.allclose(g[[1, 4], :, 0], g[[1, 4], :, 1], rtol=0.0, atol=1e-12)
+    assert_matches_lstsq(g, inputs, outputs, L)
+
+
 def test_ols_markov_batch_rejects_mismatched_outputs():
     inputs = np.zeros((3, 10, 1))
     for outputs in (np.zeros((3, 9)), np.zeros((2, 10)), np.zeros(10)):

@@ -177,6 +177,16 @@ def test_child_generators_match_seed_sequence():
         child_generators((4, 2), 2**32)
 
 
+def test_seed_words_match_generate_state():
+    # a zero part, a part above 2**32 (two entropy words), and six entropy words with the key
+    first, count = util._SEED_BLOCK - 3, 6  # the keys cross the edge of the first block
+    for prefix in ((0, 2), (2**40 + 5, 0), (3, 2**64 + 1, 7, 0, 9)):
+        words = util._seed_words(prefix, first, count)
+        assert words.shape == (count, 4) and words.dtype == np.uint64
+        for row, key in zip(words, range(first, first + count)):
+            assert np.array_equal(row, np.random.SeedSequence(prefix + (key,)).generate_state(4, np.uint64))
+
+
 def test_child_generators_match_seed_sequence_across_blocks(monkeypatch):
     # keys are hashed a block at a time; the bits do not depend on where the blocks end
     def check(prefix, count, items):
