@@ -52,11 +52,10 @@ def match_components(est: MixtureEstimate, truth: MixtureModel, L: int) -> Match
     if est.dim != G.shape[1]:
         raise ValueError(f"coefficient length {est.dim} does not match L*m = {G.shape[1]}")
     perms = np.array(list(itertools.permutations(range(K))))  # in lexicographic order
-    cost = np.zeros(len(perms))
     with np.errstate(over="ignore"):  # an overflowed cost is inf and reported below
         D = np.linalg.norm(est.coeffs[:, None, :] - G[None, :, :], axis=2)
-        for k in range(K):  # in k order, as summing each permutation's terms adds them
-            cost += D[perms[:, k], k]
+        # added in k order, so each cost has the bits of the sum of its own K terms
+        cost = sum(D[perms[:, k], k] for k in range(K))
     i = int(np.argmin(np.where(np.isnan(cost), np.inf, cost)))
     if not np.isfinite(cost[i]):
         raise ValueError("no assignment of estimated to true components has a finite cost")

@@ -195,7 +195,6 @@ def ols_markov(inputs, outputs, L: int) -> np.ndarray:
     rows, dim = times.shape[0], L * m
     A = _lag_rows(inputs, L, times).reshape(-1, rows, dim)
     b = outputs[..., times - 1].reshape(-1, rows, 1)
-    eps = np.finfo(float).eps
     if rows < dim:
         _warnings.warn("ols_markov: fewer rows than unknowns; returning the minimum-norm solution",
                        RuntimeWarning, stacklevel=2)
@@ -205,7 +204,7 @@ def ols_markov(inputs, outputs, L: int) -> np.ndarray:
         Q, R = np.linalg.qr(A)
         diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
         # lstsq's rank cutoff eps * max(rows, dim) * s_max, read on R's diagonal
-        cutoff = eps * rows * diag.max(axis=-1)
+        cutoff = np.finfo(float).eps * rows * diag.max(axis=-1)
         deficient = (diag <= cutoff[:, None]).any(axis=-1)
         if deficient.any():
             _warnings.warn(f"ols_markov: {deficient.sum()} of {A.shape[0]} trajectories have rank-deficient "
@@ -213,7 +212,7 @@ def ols_markov(inputs, outputs, L: int) -> np.ndarray:
             R[deficient] = np.eye(dim)  # solved by pinv below
         g = np.linalg.solve(R, Q.transpose(0, 2, 1) @ b)
     if deficient.any():  # lstsq's minimum-norm solution, with lstsq's cutoff
-        g[deficient] = np.linalg.pinv(A[deficient], rcond=eps * max(rows, dim)) @ b[deficient]
+        g[deficient] = np.linalg.pinv(A[deficient], rcond=np.finfo(float).eps * max(rows, dim)) @ b[deficient]
     return g.reshape(*lead, L, m)
 
 
