@@ -87,7 +87,10 @@ def estimate_whitened_m3(X, y, W, blas: bool = False) -> np.ndarray:
     blas=True takes y^3 as y*y*y rather than through pow and sums the cube
     sum_i w_i z_i^(x3) as K matrix products through one reused (n, K) buffer
     rather than one einsum: about three times as fast, within 1e-13 normwise,
-    but not the same bits.
+    but not the same bits. The gemm operands and their layout fix the cube's
+    bits: slice b is buf.T @ Z, buf being the C-ordered (n, K) array
+    Z * (w * Z[:, b])[:, None], whichever loop writes its products; another
+    gemm call or layout (a transposed Z' = W' X', say) moves them.
     """
     n = y.shape[0]
     Z = X @ W
@@ -97,7 +100,9 @@ def estimate_whitened_m3(X, y, W, blas: bool = False) -> np.ndarray:
         buf = np.empty_like(Z)
         cube = np.empty((K, K, K))
         for b in range(K):
-            cube[:, b, :] = np.multiply(Z, (w * Z[:, b])[:, None], out=buf).T @ Z
+            # buf = Z * (w * Z[:, b])[:, None], written one column at a time
+            np.multiply(Z.T, w * Z[:, b], out=buf.T, order="C")
+            cube[:, b, :] = buf.T @ Z
     else:
         w = (y ** 3) / (6.0 * n)
         cube = np.einsum("i,ia,ib,ic->abc", w, Z, Z, Z, optimize=True)

@@ -42,7 +42,9 @@ def build_stacked(dataset: TrajectoryDataset, L: int, sigma_u: float = 1.0, star
 
     stop=None means through the last trajectory. Returns (X, y): row
     (i - start)*S + s comes from trajectory i at time times[s], where
-    times = stack_times(T, L) has S entries.
+    times = stack_times(T, L) has S entries. A non-finite value in X or y
+    (an input that overflows when scaled, or an array changed after the
+    dataset was checked) is a ValueError.
     """
     if not sigma_u > 0.0:
         raise ValueError(f"sigma_u must be positive, got {sigma_u!r}")
@@ -50,11 +52,13 @@ def build_stacked(dataset: TrajectoryDataset, L: int, sigma_u: float = 1.0, star
         raise ValueError("sigma_u must be finite, got inf")
     times = stack_times(dataset.T, L)
     X = _lag_rows(dataset.inputs[start:stop], L, times)
-    with np.errstate(over="ignore"):  # an overflow is reported by the check below
-        X /= sigma_u
-    if not np.isfinite(X).all():
+    if sigma_u != 1.0:  # a division by 1.0 changes no value
+        with np.errstate(over="ignore"):  # an overflow is reported by the check below
+            X /= sigma_u
+    y = dataset.outputs[start:stop, L - 1:times[-1]:L].flatten()  # a copy of the outputs at steps times - 1
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")
-    return X, dataset.outputs[start:stop, times - 1].reshape(-1)
+    return X, y
 
 
 def trajectory_blocks(start: int, stop: int, rows_per_trajectory: int, budget: int):

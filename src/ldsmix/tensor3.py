@@ -37,11 +37,12 @@ def _check_symmetric(values) -> np.ndarray:
     return values
 
 
-def _apply(mat2, U):
-    # row r is M(I, u_r, u_r) for the tensor pre-reshaped to (d, d*d); the
-    # stacked matmul calls the same per-row gemv as mat2 @ vector would
-    outer = (U[:, :, None] * U[:, None, :]).reshape(U.shape[0], -1)
-    return np.matmul(mat2, outer[:, :, None])[:, :, 0]
+def _apply(mat2, U, outer=None):
+    # row r is M(I, u_r, u_r) for the tensor pre-reshaped to (d, d*d), the
+    # outer products u_r u_r' going to the (R, d, d) buffer outer if given;
+    # the stacked matmul calls the same per-row gemv as mat2 @ vector would
+    outer = np.multiply(U[:, :, None], U[:, None, :], out=outer)
+    return np.matmul(mat2, outer.reshape(U.shape[0], -1, 1))[:, :, 0]
 
 
 def _row_dots(A, B):
@@ -57,21 +58,25 @@ def _cubic(mat2, U):
 def _power_iterations(mat2, U, n_iters):
     # n_iters normalized updates of every row of U (R, d); a row whose update
     # is zero keeps its last nonzero iterate, is flagged as collapsed, and
-    # stays put because its update stays zero. Each row's update depends on
-    # that row alone, so once every row has the bits of its iterate two steps
-    # back (compared as integers, since -0.0 == 0.0 although their bits and
-    # those of later iterates differ), the rows cycle with period two and no
-    # flag can change; the parity of the remaining steps then picks the result
-    U = U.copy()
+    # stays put because its update stays zero (until a row collapses, a plain
+    # division gives the same bits). Each row's update depends on that row
+    # alone, so once every row has the bits of its iterate two steps back
+    # (compared as bytes, since -0.0 == 0.0 although their bits and those of
+    # later iterates differ), the rows cycle with period two and no flag can
+    # change; the parity of the remaining steps then picks the result
+    outer = np.empty((U.shape[0], U.shape[1], U.shape[1]))
     older = old = None
     collapsed = np.zeros(U.shape[0], dtype=bool)
     for step in range(n_iters):
-        W = _apply(mat2, U)
+        W = _apply(mat2, U, outer)
         nrm = np.sqrt(_row_dots(W, W))
         collapsed |= nrm == 0.0
         older, old = old, U
-        U = np.divide(W, nrm[:, None], out=old.copy(), where=~collapsed[:, None])
-        if older is not None and np.array_equal(U.view(np.uint64), older.view(np.uint64)):
+        if collapsed.any():
+            U = np.divide(W, nrm[:, None], out=old.copy(), where=~collapsed[:, None])
+        else:
+            U = W / nrm[:, None]
+        if older is not None and U.tobytes() == older.tobytes():
             return (U if (n_iters - step) % 2 else old), collapsed
     return U, collapsed
 

@@ -1,4 +1,4 @@
-"""Reference implementations used only by the tests: tensor operations, the per-item loops, the fits from given moments or one array, a whole-file dataset reader, and an estimate file writer."""
+"""Reference implementations used only by the tests: tensor operations, the per-item loops, the moment and power-step kernels in their earlier forms, the fits from given moments or one array, a whole-file dataset reader, and an estimate file writer."""
 
 import warnings
 from dataclasses import replace
@@ -138,6 +138,51 @@ def robust_tpm_loop(T, K, n_restarts=None, n_iters=100, seed=0):
         vecs[rnd] = u
         T = T - lams[rnd] * np.einsum("i,j,k->ijk", u, u, u)
     return lams, vecs
+
+
+# The moment-pass and power-step kernels before the passes that change no
+# value were cut from them. The package's kernels must give the same bytes.
+
+def build_stacked_divide(dataset, L, sigma_u=1.0, start=0, stop=None):
+    """Lag rows of trajectories [start, stop) divided by sigma_u, 1.0 included, and y gathered by the index times - 1."""
+    times = np.arange(L, dataset.T + 1, L)
+    lags = times[:, None] - 1 - np.arange(L)
+    X = np.take(dataset.inputs[start:stop], lags, axis=-2).reshape(-1, L * dataset.m)
+    X /= sigma_u
+    return X, dataset.outputs[start:stop, times - 1].reshape(-1)
+
+
+def whitened_m3_broadcast(X, y, W):
+    """estimate_whitened_m3(X, y, W, blas=True) with each product of the cube's K gemm calls formed as Z * t[:, None]."""
+    n = y.shape[0]
+    Z = X @ W
+    w = y * y * y / (6.0 * n)
+    K = Z.shape[1]
+    buf = np.empty_like(Z)
+    cube = np.empty((K, K, K))
+    for b in range(K):
+        cube[:, b, :] = np.multiply(Z, (w * Z[:, b])[:, None], out=buf).T @ Z
+    s = w @ Z
+    G = W.T @ W
+    corr = np.einsum("a,bc->abc", s, G) + np.einsum("b,ac->abc", s, G) + np.einsum("c,ab->abc", s, G)
+    return symmetrize(cube - corr)
+
+
+def power_iterations_divide(mat2, U, n_iters):
+    """tensor3._power_iterations with a masked division on every step and the two-step test on uint64 views."""
+    U = U.copy()
+    older = old = None
+    collapsed = np.zeros(U.shape[0], dtype=bool)
+    for step in range(n_iters):
+        outer = (U[:, :, None] * U[:, None, :]).reshape(U.shape[0], -1)
+        W = np.matmul(mat2, outer[:, :, None])[:, :, 0]
+        nrm = np.sqrt(np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0])
+        collapsed |= nrm == 0.0
+        older, old = old, U
+        U = np.divide(W, nrm[:, None], out=old.copy(), where=~collapsed[:, None])
+        if older is not None and np.array_equal(U.view(np.uint64), older.view(np.uint64)):
+            return (U if (n_iters - step) % 2 else old), collapsed
+    return U, collapsed
 
 
 def dataset_text_loop(inputs, outputs, labels=None) -> str:

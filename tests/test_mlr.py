@@ -7,7 +7,7 @@ from ldsmix.errors import DegenerateMixtureError
 from ldsmix.mlr import (MixtureEstimate, estimate_m2, estimate_whitened_m3,
                         mlr_fit, refine_first_moment, whitening_from_m2)
 from ldsmix.tensor3 import symmetrize
-from oracles import change_basis3, fit_from_moments, op_norm_estimate, outer3
+from oracles import change_basis3, fit_from_moments, op_norm_estimate, outer3, whitened_m3_broadcast
 
 
 def halves(X, y):
@@ -162,6 +162,21 @@ def test_whitened_m3_monte_carlo_unbiased():
     t = estimate_whitened_m3(X[1:], y[1:], W)  # every sample but the first feeds M3
     target = (W.T @ beta) ** 3  # scalar whitened space
     assert abs(t[0, 0, 0] - target[0]) < 0.05
+
+
+def test_blas_m3_has_the_bits_of_the_broadcast_cube():
+    # the K products that feed the cube's gemm calls are formed one column at
+    # a time; the gemm operands and their layout are those of Z * t[:, None],
+    # so every bit of the moment is kept, on any row count, width and K
+    rng = np.random.default_rng(73)
+    for trial in range(24):
+        K = int(rng.integers(1, 9))
+        d = int(rng.integers(K, 25))
+        n = int(rng.integers(1, 2 ** 14 + 1)) if trial % 4 else int(rng.integers(1, 4))
+        X = rng.normal(size=(n, d))
+        y = rng.normal(size=n) * np.exp(rng.uniform(-5.0, 5.0))
+        W = rng.normal(size=(d, K))
+        assert estimate_whitened_m3(X, y, W, True).tobytes() == whitened_m3_broadcast(X, y, W).tobytes()
 
 
 def test_moment_errors_shrink_like_root_n():

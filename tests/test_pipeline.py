@@ -18,7 +18,8 @@ from ldsmix.mlr import MixtureEstimate
 from ldsmix.pipeline import (build_stacked, estimate_text, ho_kalman, load_estimate,
                              mlds_fit, ols_markov, stack_times)
 from forking import forbid_threads, set_cpus
-from oracles import lag_windows_loop, mlds_fit_one_array, ols_markov_lstsq, save_estimate
+from oracles import (build_stacked_divide, lag_windows_loop, mlds_fit_one_array, ols_markov_lstsq,
+                     save_estimate)
 
 
 def fir_system(m=1, gain=1.0):
@@ -142,6 +143,51 @@ def test_build_stacked_response_and_scaling():
     # covariates divided by sigma_u
     _, raw = lag_windows_loop(ds.inputs[0], 3)
     assert np.allclose(X[:2], raw / 2.0, atol=0)
+
+
+def test_build_stacked_has_the_bits_of_the_division_and_the_index():
+    # build_stacked divides only when sigma_u is not 1.0 and gathers y by a
+    # slice; neither changes a bit against dividing every row and gathering y
+    # by times - 1, on any shape, trajectory range and scale. Exact zeros of
+    # both signs and subnormal and huge values are among the inputs
+    rng = np.random.default_rng(71)
+    for trial in range(36):
+        m, L = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        T = (L, 2 * L - 1, 96)[trial % 3]
+        S = T // L
+        n_rows = int(rng.integers(1, 2 ** 14 + 1)) if trial % 4 else 1
+        N = -(-n_rows // S) + 2
+        inputs = rng.normal(size=(N, T, m)) * np.exp(rng.uniform(-720.0, 600.0, size=(N, T, m)))
+        inputs.ravel()[rng.integers(0, inputs.size, 5)] = rng.choice([0.0, -0.0], 5)
+        ds = TrajectoryDataset(inputs, rng.normal(size=(N, T)))
+        start, stop = (0, None) if trial % 2 else (1, N - 1)
+        sigma_u = 1.0 if trial % 3 else float(rng.uniform(0.1, 10.0))
+        X, y = build_stacked(ds, L, sigma_u, start, stop)
+        X_ref, y_ref = build_stacked_divide(ds, L, sigma_u, start, stop)
+        assert X.tobytes() == X_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+        assert X.flags.c_contiguous and X.shape == X_ref.shape and y.shape == y_ref.shape
+        assert y.flags.c_contiguous and not np.shares_memory(y, ds.outputs)  # a copy, as the index gave
+
+
+def test_build_stacked_checks_that_y_is_finite(monkeypatch):
+    # a dataset is checked when it is built, but its arrays can change later;
+    # a non-finite output at a stacking time fails the fit with the same
+    # message as a non-finite input, in the M2 half and the M3 half of a
+    # one-block fit and in a block of a multi-block pass alike
+    for budget, where in ((pipeline._ROW_BUDGET, (0, 6)), (pipeline._ROW_BUDGET, (300, 13)),
+                          (block_budget(7, 96 // 7), (250, 7 * 13 - 1))):
+        monkeypatch.setattr(pipeline, "_ROW_BUDGET", budget)
+        ds = fit_case(301)
+        ds.outputs[where] = np.nan
+        with pytest.raises(ValueError, match="^X and y must be finite$"):
+            mlds_fit(ds, 7, 3)
+    ds = fit_case(4)
+    ds.outputs[1, 6] = np.inf
+    with pytest.raises(ValueError, match="^X and y must be finite$"):
+        build_stacked(ds, 7, 1.0, 1, 2)
+    ds.outputs[1, 6] = 0.0
+    ds.outputs[1, 7] = np.inf  # not a stacking time at L = 7, so not a row
+    assert np.isfinite(build_stacked(ds, 7)[1]).all()
 
 
 def test_build_stacked_partition_by_trajectory(monkeypatch):
@@ -860,10 +906,31 @@ def test_mlds_fit_refined_weights_sum():
 def test_estimate_text_golden(refine, digest):
     # pins every bit of two seeded fits, so a rewrite of any stage that moves
     # a last digit shows here; a different BLAS build may move them legitimately
+    assert golden_digest(refine=refine) == digest
+
+
+def golden_digest(**kw):
     model = random_mixture(3, 3, 1, 7, seed=0)
     data = generate_dataset(model, 200, 96, NoiseConfig(), seed=1)
-    est = mlds_fit(data, L=7, K=3, seed=2, refine=refine)
-    assert hashlib.sha256(estimate_text(est, 7, 1).encode()).hexdigest() == digest
+    est = mlds_fit(data, L=7, K=3, seed=2, **kw)
+    return hashlib.sha256(estimate_text(est, 7, 1).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("per_block, sigma_u, refine, digest", [
+    (None, 1.02, False, "654f80f30d559e560df862413f115cfc124bb4c2735ea28c517fdc900ccf1c38"),
+    (None, 1.02, True, "b46e833e88574eae722b9450f0a25abead4854c4b5492d5fa86aa5502dd794e4"),
+    (7, 1.0, False, "0931370ba5f45382d1625c279f043a2f83f2efdd01f2876dac6b2e29532caf43"),
+    (7, 1.0, True, "3b23aa0b5a49d7f3e66e176bdbf44b0d7283725dec2f5c078d42cb0850164f23"),
+    (7, 1.02, False, "6e972fa24fd0fbd9957f248ec9f328bd5385ff4f700c3405c663cb58d6382294"),
+    (7, 1.02, True, "005b969adfab47221044792ba086b411f7e6d34324eabd4375b71c8d6cc0ad2e"),
+])
+def test_estimate_text_golden_at_another_scale_and_in_blocks(monkeypatch, per_block, sigma_u, refine, digest):
+    # the golden fits again with an input scale the lag rows are divided by,
+    # and with every moment pass summed over blocks of 7 trajectories (the
+    # multi-block M3 stage); tests/estimate_hashes.py prints the blocked ones
+    if per_block is not None:
+        monkeypatch.setattr(pipeline, "_ROW_BUDGET", block_budget(per_block, 96 // 7))
+    assert golden_digest(sigma_u=sigma_u, refine=refine) == digest
 
 
 def test_estimate_file_round_trip(tmp_path):

@@ -9,7 +9,8 @@ from ldsmix import tensor3
 from ldsmix.errors import DecompositionError
 from ldsmix.tensor3 import robust_tpm, symmetrize
 from ldsmix.util import derive_seed
-from oracles import contract, op_norm_estimate, outer3, power_loop, power_update, robust_tpm_loop
+from oracles import (contract, op_norm_estimate, outer3, power_iterations_divide, power_loop, power_update,
+                     robust_tpm_loop)
 
 
 def contract_oracle(values, a, b, c):
@@ -359,13 +360,45 @@ def test_robust_tpm_stops_at_a_two_cycle_with_the_loops_bits(monkeypatch, orthog
         rows = []
         apply = tensor3._apply
 
-        def spy(mat2, U):
+        def spy(mat2, U, *rest):
             rows.append(U.shape[0])
-            return apply(mat2, U)
+            return apply(mat2, U, *rest)
 
         monkeypatch.setattr(tensor3, "_apply", spy)
         robust_tpm(t, 3, n_iters=12, seed=3)
         assert rows.count(1) < 3 * (12 + 1)
+
+
+def test_power_iterations_have_the_bits_of_a_masked_division_on_every_step():
+    # a step divides plainly until a row collapses and compares iterates by
+    # their bytes; on generic and orthogonal tensors and with rows that
+    # collapse at the first or at a later step, every step count 1-12 gives
+    # the iterates and flags of dividing under the mask on every step, and
+    # the rows passed in are left as they were
+    rng = np.random.default_rng(79)
+    cases = []
+    for trial in range(16):
+        d, R = int(rng.integers(1, 9)), int(rng.integers(1, 61))
+        if trial % 2:
+            t = random_sym(rng, d)
+        else:
+            V = orthonormal(rng, d, d)
+            t = symmetrize(sum(p * outer3(V[:, k]) for k, p in enumerate(rng.uniform(0.1, 1.0, d))))
+        cases.append((t.reshape(d, -1), np.stack([unit(rng.normal(size=d)) for _ in range(R)])))
+    # M(I, u, u) = (u_0^2, 0, u_1^2): row 0 collapses at its second step, row 1
+    # at its first, and the rest settle on (1, 0, 0)
+    mat2 = np.zeros((3, 9))
+    mat2[0, 0] = mat2[2, 4] = 1.0
+    cases.append((mat2, np.vstack([[0.0, 0.6, 0.8], [0.0, 0.0, -1.0], rng.normal(size=(6, 3))])))
+    for mat2, U in cases:
+        before = U.copy()
+        for n_iters in range(1, 13):
+            got, got_flags = tensor3._power_iterations(mat2, U, n_iters)
+            want, want_flags = power_iterations_divide(mat2, U, n_iters)
+            assert got.tobytes() == want.tobytes() and np.array_equal(got_flags, want_flags)
+        assert U.tobytes() == before.tobytes()
+    assert list(power_iterations_divide(*cases[-1], 1)[1][:3]) == [False, True, False]
+    assert list(power_iterations_divide(*cases[-1], 2)[1][:3]) == [True, True, False]
 
 
 def collapsed_restarts(t, n_restarts, seed=0):
